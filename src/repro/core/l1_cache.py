@@ -8,25 +8,16 @@ the set index mixes both tile-coordinate axes (Hakura's "6D blocked
 representation", fixed across L2 configurations per §3.3; computed by
 :meth:`repro.texture.tiling.AddressSpace.l1_set_indices`).
 
-Simulation is exactly per-set LRU, but vectorized: for a 2-way LRU set, the
-cache state after any reference is history-determined — the MRU way holds
-the last reference and the LRU way holds the most recent *different*
-reference — regardless of hits or misses. Both are computable with a
-grouped scan (stable sort by set, shift, forward-fill), so whole frames
-simulate in a handful of numpy passes. Direct-mapped caches vectorize the
-same way.
-
-General associativities (3 ways and up) use the recency-level kernel the
-TLB introduced (:meth:`repro.core.tlb.TextureTableTLB._access_lru_batched`),
-generalized per set: recency level k of a set is redefined at access *i*
-exactly when access *i-1* resolved at depth >= k (its tag was not within
-the top k levels), in which case level k inherits level k-1's previous
-content — the demoted entry. Each level is then one grouped forward-fill
-(``np.maximum.accumulate`` over definition points), ``ways`` numpy passes
-per frame instead of a Python loop per access. The explicit per-access
-loop is retained as ``use_reference=True`` ground truth (and for extreme
-associativities past :data:`_MAX_STACKED_WAYS`, where the per-level pass
-count would exceed the loop's cost).
+Simulation is exact per-set LRU in numpy passes.
+:func:`lru_stack_levels` is the one recency-stack kernel: it takes the
+frame's accesses grouped per set and materializes each recency level with a
+grouped forward-fill, ``ways`` passes per frame instead of a Python loop
+per access. The page-table TLB (:mod:`repro.core.tlb`) runs its LRU policy
+through the same kernel as a single set. The explicit per-access loop is
+retained as ``use_reference=True`` ground truth, and runs associativities
+past :data:`MAX_KERNEL_WAYS`, where the per-level pass count would exceed
+the loop's cost. Both engines snapshot the same oldest-first per-set tag
+lists, so a checkpoint resumes on either.
 """
 
 from __future__ import annotations
@@ -37,7 +28,14 @@ import numpy as np
 
 from repro.texture.tiling import L1_BLOCK_BYTES
 
-__all__ = ["L1CacheConfig", "L1FrameResult", "L1CacheSim"]
+__all__ = [
+    "L1CacheConfig",
+    "L1FrameResult",
+    "L1CacheSim",
+    "EMPTY",
+    "MAX_KERNEL_WAYS",
+    "lru_stack_levels",
+]
 
 
 @dataclass(frozen=True)
@@ -109,47 +107,97 @@ class L1FrameResult:
         return self.misses * L1_BLOCK_BYTES
 
 
-#: Widest associativity the recency-level kernel handles; each way is one
-#: grouped forward-fill pass, so past this the reference loop wins anyway.
-_MAX_STACKED_WAYS = 64
+#: Tag value of an invalid recency level (never equals a packed ref or gid).
+EMPTY = np.int64(-1)
+
+#: Widest associativity :func:`lru_stack_levels` handles; each way is one
+#: grouped forward-fill pass, so past this the per-access loop wins anyway.
+MAX_KERNEL_WAYS = 64
+
+
+def lru_stack_levels(
+    tags: np.ndarray, group_start: np.ndarray, carried: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact LRU over independent recency stacks, one numpy pass per level.
+
+    Args:
+        tags: accesses grouped per stack (a set, or the whole TLB), each
+            group contiguous and in access order.
+        group_start: True at each group's first access (``group_start[0]``
+            must be True).
+        carried: ``(groups, ways)`` stacks before the first access of each
+            group, most recent first, padded with :data:`EMPTY` on the right.
+
+    Returns:
+        ``(hit, new_stacks)``: per-access hit mask, and each group's stack
+        after its last access in the same layout as ``carried``.
+
+    Recency level k before access i is a grouped forward-fill: level 0 is
+    the previous access's tag, and level k >= 1 is redefined at i exactly
+    when access i-1 was not within levels 0..k-1, taking level k-1's
+    content at i-1 — the entry it demoted. Group starts seed every level
+    from ``carried``. A tag hits iff it matches any level before its
+    access. The end state shifts instead of sorting: level 0 becomes the
+    last tag, and level k keeps its old content if the last tag was found
+    above it, else inherits level k-1's (LRU eviction drops the bottom).
+    """
+    n = len(tags)
+    ways = carried.shape[1]
+    starts = np.flatnonzero(group_start)
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:] - 1
+    ends[-1] = n - 1
+
+    new = np.empty_like(carried)
+    new[:, 0] = tags[ends]
+    # in_top accumulates "tags[i] is within levels 0..k" as the level loop
+    # deepens; after the last level it is the hit mask.
+    level = np.empty(n, dtype=np.int64)
+    level[1:] = tags[:-1]
+    level[starts] = carried[:, 0]
+    in_top = tags == level  # EMPTY never equals a tag
+    idx = np.arange(n)
+    define = np.empty(n, dtype=bool)
+    vals = np.empty(n, dtype=np.int64)
+    for k in range(1, ways):
+        np.logical_not(in_top[:-1], out=define[1:])
+        define[starts] = True
+        vals[1:] = level[:-1]
+        vals[starts] = carried[:, k]
+        prev = level
+        level = vals[np.maximum.accumulate(np.where(define, idx, 0))]
+        new[:, k] = np.where(in_top[ends], level[ends], prev[ends])
+        in_top |= tags == level
+    return in_top, new
 
 
 class L1CacheSim:
     """Stateful L1 cache simulator; state persists across frames."""
 
-    _EMPTY = np.int64(-1)
-
     def __init__(self, config: L1CacheConfig, use_reference: bool = False):
         """Args:
             config: cache geometry.
             use_reference: force the explicit per-access loop regardless of
-                associativity. The batched and reference paths are
-                behaviourally identical; the flag exists so tests can check
-                that equivalence on arbitrary streams.
+                associativity. The two engines are behaviourally identical;
+                the flag exists so tests can check that equivalence on
+                arbitrary streams.
         """
         self.config = config
-        n_sets = config.n_sets
         self._sets_general: list[list[int]] | None = None
         self._stack: np.ndarray | None = None
-        if use_reference or config.ways > _MAX_STACKED_WAYS:
+        if use_reference or config.ways > MAX_KERNEL_WAYS:
             self.engine = "reference"
-            self._sets_general = [[] for _ in range(n_sets)]
-        elif config.ways <= 2:
-            self.engine = "vectorized"
-            self._mru = np.full(n_sets, self._EMPTY, dtype=np.int64)
-            self._lru = np.full(n_sets, self._EMPTY, dtype=np.int64)
+            self._sets_general = [[] for _ in range(config.n_sets)]
         else:
-            # MRU-first recency stack per set, EMPTY-padded on the right.
             self.engine = "stacked"
-            self._stack = np.full((n_sets, config.ways), self._EMPTY, dtype=np.int64)
+            self._stack = np.full(
+                (config.n_sets, config.ways), EMPTY, dtype=np.int64
+            )
 
     def reset(self) -> None:
         """Invalidate the whole cache."""
-        if self.engine == "vectorized":
-            self._mru[:] = self._EMPTY
-            self._lru[:] = self._EMPTY
-        elif self.engine == "stacked":
-            self._stack[:] = self._EMPTY
+        if self._stack is not None:
+            self._stack[:] = EMPTY
         else:
             for s in self._sets_general:
                 s.clear()
@@ -158,63 +206,49 @@ class L1CacheSim:
     def snapshot_state(self) -> dict:
         """Capture the carried inter-frame state (checkpointing).
 
-        The returned tree contains only numpy arrays and JSON-able scalars
-        /lists, so :mod:`repro.reliability.checkpoint` can persist it.
+        Both engines write each set as an oldest-first tag list, so a
+        snapshot taken on either restores onto the other bit-identically.
         """
-        if self.engine == "vectorized":
-            return {
-                "engine": "vectorized",
-                "mru": self._mru.copy(),
-                "lru": self._lru.copy(),
-            }
-        if self.engine == "stacked":
-            # Same oldest-first-list format as the reference loop, so a
-            # checkpoint taken on either general-associativity engine
-            # restores onto the other bit-identically.
-            return {
-                "engine": "general",
-                "sets": [
-                    [int(t) for t in reversed(row) if t != self._EMPTY]
-                    for row in self._stack
-                ],
-            }
-        return {
-            "engine": "general",
-            "sets": [list(s) for s in self._sets_general],
-        }
+        if self._stack is not None:
+            sets = [
+                [int(t) for t in reversed(row) if t != EMPTY] for row in self._stack
+            ]
+        else:
+            sets = [list(s) for s in self._sets_general]
+        return {"engine": "general", "sets": sets}
 
     def restore_state(self, state: dict) -> None:
-        """Restore a :meth:`snapshot_state` tree; inverse of the snapshot."""
-        engine = "vectorized" if self.engine == "vectorized" else "general"
-        if state.get("engine") != engine:
-            raise ValueError(
-                f"L1 checkpoint was taken on the {state.get('engine')!r} "
-                f"engine but this simulator runs {engine!r}"
-            )
-        if self.engine == "vectorized":
+        """Restore a :meth:`snapshot_state` tree; inverse of the snapshot.
+
+        Also reads the ``{"engine": "vectorized", "mru", "lru"}`` tree that
+        checkpoint v2/v3 files hold for 1- and 2-way caches.
+        """
+        engine = state.get("engine")
+        if engine == "vectorized" and self.config.ways <= 2:
             mru = np.asarray(state["mru"], dtype=np.int64)
             lru = np.asarray(state["lru"], dtype=np.int64)
-            if mru.shape != self._mru.shape or lru.shape != self._lru.shape:
+            if mru.shape != lru.shape:
                 raise ValueError("L1 checkpoint does not match the cache geometry")
-            self._mru[:] = mru
-            self._lru[:] = lru
-        elif self.engine == "stacked":
-            sets = state["sets"]
-            if len(sets) != len(self._stack):
-                raise ValueError("L1 checkpoint does not match the cache geometry")
-            self._stack[:] = self._EMPTY
-            for row, content in zip(self._stack, sets):
-                if len(content) > self.config.ways:
-                    raise ValueError(
-                        "L1 checkpoint does not match the cache geometry"
-                    )
-                for level, tag in enumerate(reversed(content)):
-                    row[level] = int(tag)
+            sets = [
+                [int(t) for t in pair if t != EMPTY] for pair in zip(lru, mru)
+            ]
+        elif engine == "general":
+            sets = [[int(t) for t in s] for s in state["sets"]]
         else:
-            sets = state["sets"]
-            if len(sets) != len(self._sets_general):
-                raise ValueError("L1 checkpoint does not match the cache geometry")
-            self._sets_general = [[int(t) for t in s] for s in sets]
+            raise ValueError(
+                f"L1 checkpoint was taken on the {engine!r} engine, which "
+                f"a {self.config.ways}-way cache cannot restore"
+            )
+        if len(sets) != self.config.n_sets or any(
+            len(s) > self.config.ways for s in sets
+        ):
+            raise ValueError("L1 checkpoint does not match the cache geometry")
+        if self._stack is not None:
+            self._stack[:] = EMPTY
+            for row, content in zip(self._stack, sets):
+                row[: len(content)] = content[::-1]
+        else:
+            self._sets_general = sets
 
     # ------------------------------------------------------------------
     def access_frame(
@@ -236,9 +270,7 @@ class L1CacheSim:
         if len(refs) == 0:
             return L1FrameResult(0, 0, 0, np.empty(0, dtype=np.int64))
 
-        if self.engine == "vectorized":
-            hit = self._access_vectorized(refs, sets)
-        elif self.engine == "stacked":
+        if self._stack is not None:
             hit = self._access_stacked(refs, sets)
         else:
             hit = self._access_general(refs, sets)
@@ -252,8 +284,8 @@ class L1CacheSim:
         )
 
     # ------------------------------------------------------------------
-    def _access_vectorized(self, refs: np.ndarray, sets: np.ndarray) -> np.ndarray:
-        """Exact per-set LRU for 1- and 2-way caches, in numpy passes."""
+    def _access_stacked(self, refs: np.ndarray, sets: np.ndarray) -> np.ndarray:
+        """Group the frame by set and run :func:`lru_stack_levels` on it."""
         n = len(refs)
         # Set indices are tiny (tens to hundreds of sets); sorting them as
         # uint16 instead of int64 makes the stable sort several times
@@ -263,128 +295,18 @@ class L1CacheSim:
         else:
             order = np.argsort(sets, kind="stable")
         s = sets[order]
-        t = refs[order]
 
         group_start = np.empty(n, dtype=bool)
         group_start[0] = True
         np.not_equal(s[1:], s[:-1], out=group_start[1:])
+        touched = s[group_start]
 
-        # MRU way content before each access: the previous reference in the
-        # set, or the carried inter-frame state at group starts.
-        mru_before = np.empty(n, dtype=np.int64)
-        mru_before[1:] = t[:-1]
-        mru_before[group_start] = self._mru[s[group_start]]
-        changed = t != mru_before
-
-        # A group's last access sits right before the next group's start.
-        group_end = np.empty(n, dtype=bool)
-        group_end[-1] = True
-        group_end[:-1] = group_start[1:]
-
-        if self.config.ways == 1:
-            hit_sorted = ~changed
-            # Writeback: the last reference of each group is the new content.
-            self._mru[s[group_end]] = t[group_end]
-        else:
-            # LRU way content before each access: forward-fill of "the most
-            # recent reference different from the MRU". A new LRU value is
-            # defined wherever the previous access changed the MRU (the old
-            # MRU got demoted), and at group starts (carried state).
-            vals = np.empty(n, dtype=np.int64)
-            inner_def = np.zeros(n, dtype=bool)
-            inner_def[1:] = changed[:-1]
-            inner_def &= ~group_start
-            define = group_start | inner_def
-            vals[group_start] = self._lru[s[group_start]]
-            vals[1:][inner_def[1:]] = mru_before[:-1][inner_def[1:]]
-            last_def = np.maximum.accumulate(
-                np.where(define, np.arange(n), -1)
-            )
-            lru_before = vals[last_def]
-            hit_sorted = (~changed) | (t == lru_before)
-
-            self._mru[s[group_end]] = t[group_end]
-            new_lru = np.where(changed, mru_before, lru_before)
-            self._lru[s[group_end]] = new_lru[group_end]
-
-        # Back to original access order.
+        hit_sorted, new_stacks = lru_stack_levels(
+            refs[order], group_start, self._stack[touched]
+        )
+        self._stack[touched] = new_stacks
         hit = np.empty(n, dtype=bool)
         hit[order] = hit_sorted
-        return hit
-
-    def _access_stacked(self, refs: np.ndarray, sets: np.ndarray) -> np.ndarray:
-        """Exact per-set LRU for any associativity via recency levels.
-
-        Within one set's (stably sorted) access run, recency level k
-        before access i is a forward-fill: it is redefined at i exactly
-        when access i-1 resolved at depth >= k (its tag was outside the
-        top k levels), taking level k-1's content at i-1 — the demoted
-        entry. Level 0 is simply the previous access's tag. Group starts
-        seed every level from the carried inter-frame stack. A tag hits
-        iff it matches any of the ``ways`` levels before its access.
-        """
-        n = len(refs)
-        ways = self.config.ways
-        if self.config.n_sets <= 1 << 16:
-            order = np.argsort(sets.astype(np.uint16), kind="stable")
-        else:
-            order = np.argsort(sets, kind="stable")
-        s = sets[order]
-        t = refs[order]
-
-        group_start = np.empty(n, dtype=bool)
-        group_start[0] = True
-        np.not_equal(s[1:], s[:-1], out=group_start[1:])
-        group_end = np.empty(n, dtype=bool)
-        group_end[-1] = True
-        group_end[:-1] = group_start[1:]
-
-        carried = self._stack[s[group_start]]  # (groups, ways) MRU-first
-        idx = np.arange(n)
-
-        # in_top accumulates "t[i] is within the top k+1 levels" as the
-        # level loop deepens; after the last level it is the hit mask.
-        in_top = np.zeros(n, dtype=bool)
-        end_levels = np.empty((int(group_end.sum()), ways), dtype=np.int64)
-        prev_w: np.ndarray | None = None
-        for k in range(ways):
-            if k == 0:
-                wk = np.empty(n, dtype=np.int64)
-                wk[1:] = t[:-1]
-                wk[group_start] = carried[:, 0]
-            else:
-                define = np.zeros(n, dtype=bool)
-                define[1:] = ~in_top[:-1]
-                vals = np.empty(n, dtype=np.int64)
-                vals[1:][define[1:]] = prev_w[:-1][define[1:]]
-                define[group_start] = True
-                vals[group_start] = carried[:, k]
-                last_def = np.maximum.accumulate(np.where(define, idx, -1))
-                wk = vals[last_def]
-            in_top |= t == wk  # EMPTY never equals a packed ref
-            end_levels[:, k] = wk[group_end]
-            prev_w = wk
-
-        # Writeback: each touched set's new stack is its last access on
-        # top of the pre-access levels with that tag (and EMPTY padding)
-        # squeezed out, truncated to ``ways`` — LRU eviction for free.
-        last = t[group_end]
-        keep = (end_levels != last[:, None]) & (end_levels != self._EMPTY)
-        colorder = np.argsort(~keep, axis=1, kind="stable")
-        packed = np.take_along_axis(end_levels, colorder, axis=1)
-        counts = keep.sum(axis=1)
-        new_stack = np.empty_like(packed)
-        new_stack[:, 0] = last
-        if ways > 1:
-            tail = packed[:, : ways - 1]
-            cols = np.arange(1, ways)
-            new_stack[:, 1:] = np.where(
-                cols[None, :] > counts[:, None], self._EMPTY, tail
-            )
-        self._stack[s[group_end]] = new_stack
-
-        hit = np.empty(n, dtype=bool)
-        hit[order] = in_top
         return hit
 
     def _access_general(self, refs: np.ndarray, sets: np.ndarray) -> np.ndarray:

@@ -8,13 +8,13 @@ TLB's was round robin" — LRU is also provided for comparison.
 
 Like the cache simulators, the TLB has a per-access reference loop
 (``use_reference=True``) and a batched engine that resolves a whole frame
-in numpy passes: LRU by materializing each recency-stack level with a
-grouped forward-fill (generalizing the L1 simulator's 2-way trick to
-``n_entries`` ways; very large TLBs fall back to the Mattson
-stack-distance engine), round robin by scanning blocks of accesses
-against the entry table and dropping to the scalar loop only inside
-miss-bearing blocks. Both are bit-identical to the loops, including the
-carried entry list and hand position.
+in numpy passes. LRU is the L1's recency-stack kernel
+(:func:`repro.core.l1_cache.lru_stack_levels`) run as a single set; TLBs
+wider than :data:`~repro.core.l1_cache.MAX_KERNEL_WAYS` entries run the
+loop, as the L1 does. Round robin scans blocks of accesses against the
+entry table and drops to the scalar loop only inside miss-bearing blocks.
+Both are bit-identical to the loops, including the carried entry list and
+hand position.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.core.l1_cache import EMPTY, MAX_KERNEL_WAYS, lru_stack_levels
 
 __all__ = ["TLBFrameResult", "TextureTableTLB"]
 
@@ -96,13 +98,21 @@ class TextureTableTLB:
                 L1 misses, in access order.
         """
         gids = np.asarray(gids, dtype=np.int64)
-        if self._use_reference:
+        wide_lru = self.policy == "lru" and self.n_entries > MAX_KERNEL_WAYS
+        if self._use_reference or wide_lru:
             return self._access_frame_reference(gids)
         if len(gids) == 0:
             return TLBFrameResult(accesses=0, hits=0)
-        if self.policy == "lru":
-            return self._access_lru_batched(gids)
-        return self._access_round_robin_batched(gids)
+        if self.policy == "round_robin":
+            return self._access_round_robin_batched(gids)
+        # LRU: the recency-stack kernel over a single set.
+        group_start = np.zeros(len(gids), dtype=bool)
+        group_start[0] = True
+        carried = np.full((1, self.n_entries), EMPTY, dtype=np.int64)
+        carried[0, : len(self._entries)] = self._entries[::-1]
+        hit, stack = lru_stack_levels(gids, group_start, carried)
+        self._entries = [int(g) for g in stack[0, ::-1] if g != EMPTY]
+        return TLBFrameResult(accesses=len(gids), hits=int(np.count_nonzero(hit)))
 
     def _access_frame_reference(self, gids: np.ndarray) -> TLBFrameResult:
         """Per-access loop; the ground truth the batched engine must match."""
@@ -131,82 +141,6 @@ class TextureTableTLB:
                     else:
                         entries.append(gid)
             self._hand = hand
-        return TLBFrameResult(accesses=len(gids), hits=hits)
-
-    def _access_lru_batched(self, gids: np.ndarray) -> TLBFrameResult:
-        """Whole-frame LRU by materializing the recency stack level by level.
-
-        Level ``k`` holds the k-th most recently used distinct gid. Level 1
-        before access ``i`` is simply the previous access; level ``k`` takes
-        the old level ``k-1`` value exactly when the previous access sat at
-        stack depth >= k (i.e. missed the top ``k-1`` levels), which is a
-        grouped forward-fill — the L1 simulator's 2-way construction
-        iterated ``cap`` times. A hit is a match on any level. TLBs bigger
-        than the paper ever sweeps fall back to the O(n log n)
-        stack-distance engine, whose cost does not grow with capacity.
-        """
-        cap = self.n_entries
-        if cap > 32:
-            return self._access_lru_stack(gids)
-        n = len(gids)
-        state = self._entries  # oldest first; MRU at the back
-        idx = np.arange(n)
-        in_top = np.zeros(n, dtype=bool)  # hit within levels 1..k-1
-        prev_w: np.ndarray | None = None
-        final_stack: list[int] = []
-        for k in range(1, cap + 1):
-            carried = state[-k] if k <= len(state) else -1
-            wk = np.empty(n, dtype=np.int64)
-            if k == 1:
-                wk[0] = carried
-                wk[1:] = gids[:-1]
-            else:
-                # w_k is redefined at i when access i-1 was at depth >= k;
-                # its new value is w_{k-1} as it stood before that access.
-                define = np.empty(n, dtype=bool)
-                define[0] = True
-                np.logical_not(in_top[:-1], out=define[1:])
-                vals = np.empty(n, dtype=np.int64)
-                vals[0] = carried
-                vals[1:][define[1:]] = prev_w[:-1][define[1:]]
-                last_def = np.maximum.accumulate(np.where(define, idx, -1))
-                wk = vals[last_def]
-            in_top = in_top | (gids == wk)
-            prev_w = wk
-            final_stack.append(int(wk[-1]))
-        hits = int(np.count_nonzero(in_top))
-
-        # End state: push the last access onto the stack as it stood
-        # before it, then drop sentinels and overflow.
-        last = int(gids[-1])
-        stack = [last] + [w for w in final_stack if w != last and w != -1]
-        self._entries = list(reversed(stack[:cap]))
-        return TLBFrameResult(accesses=n, hits=hits)
-
-    def _access_lru_stack(self, gids: np.ndarray) -> TLBFrameResult:
-        """Whole-frame LRU via stack distances (hit iff distance < cap).
-
-        The carried entry list, oldest first, becomes a synthetic prefix so
-        the LRU stack right after it equals the TLB; the end state is the
-        ``cap`` most recently seen distinct gids in recency order.
-        """
-        from repro.analytic.stack_distance import stack_distances
-
-        cap = self.n_entries
-        n_state = len(self._entries)
-        if n_state:
-            stream = np.concatenate(
-                [np.asarray(self._entries, dtype=np.int64), gids]
-            )
-        else:
-            stream = gids
-        d = stack_distances(stream)[n_state:]
-        hits = int(np.count_nonzero((d >= 0) & (d < cap)))
-
-        uniq, ridx = np.unique(stream[::-1], return_index=True)
-        last_pos = len(stream) - 1 - ridx
-        order = np.argsort(last_pos)
-        self._entries = uniq[order[-cap:]].tolist()
         return TLBFrameResult(accesses=len(gids), hits=hits)
 
     def _access_round_robin_batched(self, gids: np.ndarray) -> TLBFrameResult:

@@ -17,16 +17,14 @@ reference engine (``Renderer(..., use_reference=True)``) is kept as the
 bit-identical ground truth the differential suite proves the batched
 engine against. Both emit exactly the same fragment and reference streams.
 
-For long animations prefer :meth:`Renderer.iter_frames`, which yields one
+Animations render through :meth:`Renderer.iter_frames`, which yields one
 :class:`FrameOutput` at a time — together with the streaming trace writer
 (:mod:`repro.trace.stream`) a full-scale animation renders in bounded
-memory. ``render_animation`` (which materializes every frame, images
-included) is deprecated.
+memory.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -167,24 +165,6 @@ class Renderer:
         """
         for cam in cameras:
             yield self.render_frame(cam)
-
-    def render_animation(self, cameras: Sequence[Camera]) -> "_AnimationFrames":
-        """Render a list of camera poses (one per frame).
-
-        .. deprecated::
-            Use :meth:`iter_frames`. This shim now forwards through it
-            lazily: iterating the returned sequence renders one frame at a
-            time (nothing is retained), so legacy ``for out in
-            renderer.render_animation(...)`` loops run in bounded memory.
-            Only indexing forces a render, and only of that frame.
-        """
-        warnings.warn(
-            "Renderer.render_animation is deprecated; use "
-            "Renderer.iter_frames and consume frames as they stream",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _AnimationFrames(self, list(cameras))
 
     # ------------------------------------------------------------------
     # Batched engine
@@ -613,32 +593,6 @@ class Renderer:
             )
             colors = colors * (light.mean(axis=1, keepdims=True) / 255.0)
         fb.write_pixels(vis.ys, vis.xs, colors)
-
-
-class _AnimationFrames:
-    """Lazy sequence the ``render_animation`` deprecation shim returns.
-
-    Duck-types the old ``list[FrameOutput]`` for its two observed uses —
-    ``len()`` and (possibly repeated) iteration — without materializing:
-    each iteration streams fresh ``FrameOutput`` objects from
-    :meth:`Renderer.iter_frames` and retains none of them, and indexing
-    renders exactly the requested frame.
-    """
-
-    def __init__(self, renderer: "Renderer", cameras: list[Camera]):
-        self._renderer = renderer
-        self._cameras = cameras
-
-    def __len__(self) -> int:
-        return len(self._cameras)
-
-    def __iter__(self) -> Iterator[FrameOutput]:
-        return self._renderer.iter_frames(self._cameras)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self._cameras)))]
-        return self._renderer.render_frame(self._cameras[i])
 
 
 def _select(frags: Fragments, mask: np.ndarray) -> Fragments:

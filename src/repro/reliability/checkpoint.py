@@ -60,11 +60,13 @@ __all__ = [
 #: Bump when the serialized layout changes.
 #: v3 added per-tenant 2-D frame columns (``f_tenant_*``) and partitioned
 #: L2/TLB state trees for multi-tenant runs; v2 files (single-tenant by
-#: construction) remain readable.
-CHECKPOINT_VERSION = 3
+#: construction) remain readable. v4 stores every L1 as oldest-first
+#: per-set tag lists; the 1- and 2-way ``vectorized`` MRU/LRU arrays of
+#: v2/v3 files are converted on restore.
+CHECKPOINT_VERSION = 4
 
 #: Older layouts the reader still accepts.
-READABLE_CHECKPOINT_VERSIONS = (2, CHECKPOINT_VERSION)
+READABLE_CHECKPOINT_VERSIONS = (2, 3, CHECKPOINT_VERSION)
 
 
 def run_key(trace: Trace, config: HierarchyConfig, engine: str) -> str:

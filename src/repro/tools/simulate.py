@@ -198,9 +198,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--l1-kb", type=float, default=2.0,
                         help="L1 cache size in KB (default 2)")
     parser.add_argument("--ways", type=int, default=2,
-                        help="L1 associativity (default 2; any value runs "
-                             "batched — 1-2 via the MRU/LRU scan, higher "
-                             "via the recency-level kernel)")
+                        help="L1 associativity (default 2; up to 64 ways run "
+                             "the recency-stack kernel, wider ones the "
+                             "per-access loop)")
     parser.add_argument("--l2-kb", type=float, default=None,
                         help="L2 cache size in KB (omit for pull architecture)")
     parser.add_argument("--l2-tile", type=int, default=16,

@@ -156,7 +156,7 @@ class TestSetAssociativeDifferential:
 class TestTLBDifferential:
     @given(
         seed=st.integers(0, 10_000),
-        cap=st.integers(1, 16),
+        cap=st.integers(1, 80),
         policy=st.sampled_from(["round_robin", "lru"]),
         universe=st.integers(2, 60),
     )

@@ -1,10 +1,9 @@
 """Tests for parallel trace rendering."""
 
 import numpy as np
-import pytest
 
 from repro.experiments.config import Scale
-from repro.experiments.traces import render_trace, render_workers
+from repro.experiments.traces import render_trace
 from repro.texture.sampler import FilterMode
 
 MICRO = Scale(width=64, height=48, frames=4, detail=0.2, name="micro")
@@ -31,12 +30,3 @@ class TestParallelRender:
         )
         assert trace.meta.workload == "city+zfirst"
 
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RENDER_WORKERS", raising=False)
-        assert render_workers() == 1
-        monkeypatch.setenv("REPRO_RENDER_WORKERS", "6")
-        assert render_workers() == 6
-        monkeypatch.setenv("REPRO_RENDER_WORKERS", "junk")
-        assert render_workers() == 1
-        monkeypatch.setenv("REPRO_RENDER_WORKERS", "0")
-        assert render_workers() == 1

@@ -110,13 +110,6 @@ class TestResolveRenderJobs:
         monkeypatch.setenv("REPRO_RENDER_WORKERS", "2")
         assert resolve_render_jobs() == 4
 
-    def test_legacy_fallback_stays_lenient(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        monkeypatch.setenv("REPRO_RENDER_WORKERS", "junk")
-        assert resolve_render_jobs() == 1
-        monkeypatch.setenv("REPRO_RENDER_WORKERS", "3")
-        assert resolve_render_jobs() == 3
-
     def test_repro_jobs_is_strictly_validated(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "junk")
         with pytest.raises(ConfigError):

@@ -1,4 +1,6 @@
-"""Checkpoint format v3: tenant columns, partitioned state, v2 back-compat."""
+"""Checkpoint format v3+: tenant columns, partitioned state, v2/v3 back-compat."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -118,13 +120,14 @@ class TestBackCompat:
         sim = MultiLevelTextureCache(config, village_trace.address_space)
         frames = [sim.run_frame(village_trace.frames[0])]
         key3 = ckpt.run_key(village_trace, config, sim.engine)
-        assert key3.startswith("ckpt3|")
+        prefix = f"ckpt{ckpt.CHECKPOINT_VERSION}|"
+        assert key3.startswith(prefix)
         assert key3.endswith(", tenancy=None)")
 
         # Forge the file a pre-tenancy build would have written: layout
         # version 2, and a run key whose embedded config repr predates the
         # tenancy field.
-        legacy_key = "ckpt2|" + key3[len("ckpt3|"):]
+        legacy_key = "ckpt2|" + key3[len(prefix):]
         legacy_key = legacy_key[: -len(", tenancy=None)")] + ")"
         path = tmp_path / "legacy.ckpt"
         monkeypatch.setattr(ckpt, "CHECKPOINT_VERSION", 2)
@@ -150,6 +153,70 @@ class TestBackCompat:
         )
         with pytest.raises(CheckpointCorruptError, match="different"):
             ckpt.read_checkpoint(path, expected_key=other)
+
+    @pytest.mark.parametrize("ways", [1, 2])
+    def test_v3_vectorized_l1_checkpoint_resumes(
+        self, village_trace, tmp_path, monkeypatch, ways
+    ):
+        """v3 files hold 1-/2-way L1s as MRU/LRU arrays; they still resume."""
+        config = HierarchyConfig(
+            l1=L1CacheConfig(size_bytes=2048, ways=ways), l2=L2, tlb_entries=8
+        )
+        space = village_trace.address_space
+        plain = MultiLevelTextureCache(config, space).run_trace(village_trace)
+
+        cut = len(village_trace.frames) // 2
+        warm = MultiLevelTextureCache(config, space)
+        frames = [warm.run_frame(f) for f in village_trace.frames[:cut]]
+        state = warm.snapshot_state()
+        # The old engine's tree: the MRU way holds each set's last tag, the
+        # LRU way the most recent different one (never written at 1 way).
+        sets = state["l1"]["sets"]
+        state["l1"] = {
+            "engine": "vectorized",
+            "mru": np.array([s[-1] if s else -1 for s in sets], dtype=np.int64),
+            "lru": np.array(
+                [s[-2] if len(s) > 1 and ways == 2 else -1 for s in sets],
+                dtype=np.int64,
+            ),
+        }
+        key = ckpt.run_key(village_trace, config, warm.engine)
+        prefix = f"ckpt{ckpt.CHECKPOINT_VERSION}|"
+        path = tmp_path / "v3.ckpt"
+        monkeypatch.setattr(ckpt, "CHECKPOINT_VERSION", 3)
+        ckpt.write_checkpoint(
+            path,
+            key="ckpt3|" + key[len(prefix):],
+            frame_index=cut,
+            n_frames=len(village_trace.frames),
+            frames=frames,
+            state=state,
+        )
+        monkeypatch.undo()
+
+        loaded = ckpt.read_checkpoint(path, expected_key=key)
+        assert loaded.frame_index == cut
+        cold = MultiLevelTextureCache(config, space)
+        cold.restore_state(loaded.state)
+        assert cold.snapshot_state()["l1"] == warm.snapshot_state()["l1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a quarantine would restart
+            resumed = MultiLevelTextureCache(config, space).run_trace(
+                village_trace, checkpoint_path=path, resume=True
+            )
+        assert resumed.frames == plain.frames
+
+        # The legacy tree only restores onto the geometry it came from.
+        wider = HierarchyConfig(
+            l1=L1CacheConfig(size_bytes=4096, ways=ways), l2=L2, tlb_entries=8
+        )
+        with pytest.raises(ValueError, match="geometry"):
+            MultiLevelTextureCache(wider, space).restore_state(loaded.state)
+        four_way = HierarchyConfig(
+            l1=L1CacheConfig(size_bytes=2048 * ways, ways=4), l2=L2, tlb_entries=8
+        )
+        with pytest.raises(ValueError):
+            MultiLevelTextureCache(four_way, space).restore_state(loaded.state)
 
     def test_unsupported_version_rejected(self, village_trace, tmp_path, monkeypatch):
         config = _config()
