@@ -1,10 +1,10 @@
 """Bench target for the batched rasterization engine.
 
-Renders bench-scale City and Village animations twice — once through the
-triangle-batched engine (:mod:`repro.raster.batch`), once through the
-per-triangle reference — and asserts the engine pairing's two contracts:
-identical per-frame traces on both workloads, and >= 3x trace-generation
-speedup on each.
+Renders bench-scale City, Village and Terrain animations twice — once
+through the triangle-batched engine (:mod:`repro.raster.batch`), once
+through the per-triangle reference — and asserts the engine pairing's two
+contracts: identical per-frame traces on every workload, and >= 3x
+trace-generation speedup on each.
 
 Timing methodology: paper-style renders are numpy-heavy and allocator
 state drifts between processes, so a single sequential comparison is
@@ -31,12 +31,14 @@ ARTIFACT = Path(__file__).resolve().parents[1] / "BENCH_raster.json"
 MIN_SPEEDUP = 3.0
 ROUNDS = 3
 
-# Bench configurations: resolution and tessellation detail chosen so both
+# Bench configurations: resolution and tessellation detail chosen so the
 # scenes carry paper-like small-triangle density (the regime the batched
 # engine exists for) while keeping a CI-friendly runtime.
 CONFIGS = {
     "city": {"detail": 2.0, "width": 320, "height": 240, "frames": 2},
     "village": {"detail": 8.0, "width": 320, "height": 240, "frames": 2},
+    # Terrain as the end-to-end benchmark renders it (detail 1).
+    "terrain": {"detail": 1.0, "width": 320, "height": 240, "frames": 2},
 }
 
 

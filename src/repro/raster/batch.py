@@ -3,19 +3,25 @@
 :func:`rasterize_triangles` performs triangle setup for a whole block of
 triangles in one vectorized pass — signed areas, backface culling, clamped
 bounding boxes, barycentric gradients, and the perspective terms — and then
-edge-tests entire bounding-box scanline spans at once, emitting fragments
-grouped per triangle in exactly the emission order of the per-triangle
-reference rasterizer (:func:`repro.raster.rasterizer.rasterize_triangle`):
-triangles in input order, fragments in scanline (or tiled) order within
-each triangle.
+finds each bounding-box row's exact covered span, evaluating attributes at
+covered pixels only. Fragments come out grouped per triangle in exactly the
+emission order of the per-triangle reference rasterizer
+(:func:`repro.raster.rasterizer.rasterize_triangle`): triangles in input
+order, fragments in scanline (or tiled) order within each triangle.
 
-Every row of one triangle's bounding box has the same width, so triangles
-are grouped by (padded) box width and each group is evaluated as a dense
-``(rows, W)`` grid: the edge functions become pure 2D broadcasts against
-per-row constants — the same shape of computation the reference performs
-per triangle, but shared across arbitrarily many triangles per call, with
-no per-candidate gather traffic. Group results are scattered into final
-emission order with computed destinations (no sort).
+Coverage is found per row, not per pixel. On a fixed row the kernel's edge
+function ``e = t - b*(px - xk)`` is monotone in ``px`` under IEEE rounding,
+because ``fl(a - c)`` and ``fl(b*d)`` are monotone in their varying
+argument. Each edge's ``e >= 0`` set is therefore a prefix (``b > 0``) or a
+suffix (``b < 0``) of the row, all or nothing when ``b == 0``, and the
+covered pixels of a row are one interval ``[lo, hi)``. Each boundary is
+estimated in float from the crossing ``xk + t/b`` and then snapped to the
+exact column by evaluating the kernel's own ``e`` at neighbouring columns,
+so the spans are exactly the pixels a dense edge test would keep. A row
+with a non-finite ``t``, ``b`` or ``xk`` (overflowing coordinates) is
+edge-tested densely instead. Rows are laid out in triangle order, so the
+spans — and the fragments expanded from them — are already in emission
+order.
 
 Engine pairing (the PR 3 pattern, applied upstream of the caches): every
 arithmetic expression mirrors the reference implementation operation for
@@ -24,14 +30,16 @@ operation and in the same operand order, so the emitted fragments are
 reference stays selectable (``Renderer(..., use_reference=True)``) as the
 ground truth the differential suite proves this module against.
 
-Candidate pixels are expanded at most ``block_candidates`` at a time (a
-group's grid is walked in row chunks), so peak memory stays bounded no
-matter how many triangles are batched or how large their boxes are.
+Fragments are evaluated in blocks of about ``block_candidates`` at a time
+and written straight into output arrays sized by the spans, so peak
+temporary memory stays bounded no matter how many triangles are batched or
+how large they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -43,10 +51,10 @@ __all__ = [
     "DEFAULT_BLOCK_CANDIDATES",
 ]
 
-#: Default cap on simultaneously expanded candidate pixels per row chunk.
-#: ~20 float64 temporaries per candidate; 1 << 18 keeps the chunk working
-#: set around the L3 cache instead of churning fresh pages per block.
-DEFAULT_BLOCK_CANDIDATES = 1 << 18
+#: Default cap on fragments evaluated per block. A block keeps ~20 float64
+#: temporaries per fragment live, so 1 << 14 holds its working set near the
+#: per-core L2 cache.
+DEFAULT_BLOCK_CANDIDATES = 1 << 14
 
 
 @dataclass
@@ -85,6 +93,43 @@ def _empty_batch() -> FragmentBatch:
     )
 
 
+def _edge_boundaries(t, b, xk, lo, hi):
+    """Exact boundary column of each edge's ``e >= 0`` set on its row.
+
+    All arguments are matching 1-D float64 arrays with finite ``t``, ``b``,
+    ``xk`` and ``b != 0``; ``[lo, hi)`` is the row's box. Returns the first
+    column ``c`` in ``[lo, hi]`` at which ``flips(c)`` — "outside" for a
+    prefix edge (``b > 0``), "inside" for a suffix edge (``b < 0``) — or
+    ``hi`` when none does. ``flips`` is monotone along the row, so walking
+    from the float estimate to where it changes lands on that column.
+    """
+    prefix = b > 0
+
+    def flips(col, s):
+        # The kernel's own edge function at pixel centre col + 0.5.
+        e = t[s] - b[s] * ((col + 0.5) - xk[s])
+        return (e >= 0) != prefix[s]
+
+    # e == 0 at px = xk + t/b, i.e. at column est; exact arithmetic would
+    # put the boundary just past it (prefix) or on it (suffix).
+    est = xk + t / b - 0.5
+    col = np.where(prefix, np.floor(est) + 1.0, np.ceil(est))
+    col = np.fmin(np.fmax(col, lo), hi)  # NaN-safe clamp to the box
+    s = np.flatnonzero(col > lo)
+    s = s[flips(col[s] - 1.0, s)]
+    while len(s):
+        col[s] -= 1.0
+        s = s[col[s] > lo[s]]
+        s = s[flips(col[s] - 1.0, s)]
+    s = np.flatnonzero(col < hi)
+    s = s[~flips(col[s], s)]
+    while len(s):
+        col[s] += 1.0
+        s = s[col[s] < hi[s]]
+        s = s[~flips(col[s], s)]
+    return col
+
+
 def rasterize_triangles(
     screen_xy: np.ndarray,
     inv_w: np.ndarray,
@@ -112,7 +157,8 @@ def rasterize_triangles(
             texture bindings can share one call.
         double_sided: a scalar, or a ``(T,)`` bool array for per-triangle
             sidedness.
-        block_candidates: peak candidate pixels expanded at once.
+        block_candidates: fragments evaluated per block (a block always
+            holds at least one whole row span).
 
     Returns:
         A :class:`FragmentBatch`. Culled, degenerate, and empty triangles
@@ -174,11 +220,6 @@ def rasterize_triangles(
     sign = np.where(area2 > 0.0, 1.0, -1.0)
     inv_area = 1.0 / (area2 * sign)
 
-    # Edge-function coefficients, one pair per edge.
-    ea0, eb0 = x2 - x1, y2 - y1
-    ea1, eb1 = x0 - x2, y0 - y2
-    ea2, eb2 = x1 - x0, y1 - y0
-
     # Perspective terms and the constant barycentric gradients.
     uvw = uv_all[idx] * iw[:, :, None]  # (L, 3, 2) of (u/w, v/w)
     gl = np.empty((n_live, 3, 2), dtype=np.float64)
@@ -202,190 +243,148 @@ def rasterize_triangles(
         + gl[:, 2, :] * iw[:, 2, None]
     )
 
-    per_tri_tex = np.ndim(tex_width) > 0
-    if per_tri_tex:
-        tw = np.asarray(tex_width, dtype=np.float64).reshape(-1)[idx]
-        th = np.asarray(tex_height, dtype=np.float64).reshape(-1)[idx]
+    # Edge k is e_k = t_k - b_k*(px - xk_k). The reference multiplies the
+    # whole edge function by sign; a multiply by exactly +/-1.0 is exact in
+    # IEEE, so folding it into t and b ((t - b*dx)*s == t*s - (b*s)*dx,
+    # bitwise) leaves the same bits.
+    ea = (x2 - x1, x0 - x2, x1 - x0)
+    ey = (y1, y2, y0)
+    b_t = np.stack((y2 - y1, y0 - y2, y1 - y0)) * sign
+    xk_t = np.stack((x1, x2, x0))
 
-    # Contiguous per-triangle interpolation constants. Fragments reach
-    # them through two cheap hops — triangle -> row (rows are few), then
-    # row -> fragment (a plain 1-D gather) — instead of 2-D fancy
-    # indexing per fragment, which dominates interior time otherwise.
-    iw0, iw1, iw2 = iw[:, 0].copy(), iw[:, 1].copy(), iw[:, 2].copy()
-    up0, up1, up2 = uvw[:, 0, 0].copy(), uvw[:, 1, 0].copy(), uvw[:, 2, 0].copy()
-    uq0, uq1, uq2 = uvw[:, 0, 1].copy(), uvw[:, 1, 1].copy(), uvw[:, 2, 1].copy()
-    zn0, zn1, zn2 = zn[:, 0].copy(), zn[:, 1].copy(), zn[:, 2].copy()
-    dP0, dP1 = dP[:, 0].copy(), dP[:, 1].copy()
-    dQ0, dQ1 = dQ[:, 0].copy(), dQ[:, 1].copy()
-    dW0, dW1 = dW[:, 0].copy(), dW[:, 1].copy()
+    # Rows: every row of every live triangle's box, in triangle order.
+    n_rows = int(heights.sum())
+    tri_r = np.repeat(np.arange(n_live), heights)
+    ys_r = np.arange(n_rows, dtype=np.int64)
+    ys_r += np.repeat(min_y - (np.cumsum(heights) - heights), heights)
+    py_r = ys_r + 0.5
+    sgn_r = sign[tri_r]
+    t = np.stack([ea[k][tri_r] * (py_r - ey[k][tri_r]) * sgn_r for k in range(3)])
+    b = b_t[:, tri_r]
+    xk = xk_t[:, tri_r]
+    lo = min_x[tri_r].astype(np.float64)
+    hi = lo + widths[tri_r]
 
-    # Width groups: every row of a triangle's box has the triangle's box
-    # width, so triangles padded to the same W form a dense (rows, W) grid.
-    # Padding to a multiple of 8 keeps group count small at <= 1/8 wasted
-    # columns (masked out below, never emitted).
-    bucket = (widths + 7) >> 3
+    # Each row's span [row_l, row_h): the intersection of its edges' prefixes
+    # (b > 0) and suffixes (b < 0), emptied by any b == 0 edge with t < 0.
+    finite = np.isfinite(t).all(axis=0)
+    finite &= np.isfinite(np.vstack((b_t, xk_t))).all(axis=0)[tri_r]
+    bound = np.where(b > 0, hi, lo)
+    with np.errstate(all="ignore"):
+        sel = np.nonzero((b != 0) & finite)
+        bound[sel] = _edge_boundaries(t[sel], b[sel], xk[sel], lo[sel[1]], hi[sel[1]])
+    row_l = np.where(b < 0, bound, lo).max(axis=0)
+    row_h = np.where(b > 0, bound, hi).min(axis=0)
+    row_ok = finite & ~((b == 0) & (t < 0)).any(axis=0)
+    span_row = np.flatnonzero(row_ok & (row_h > row_l))
+    span_lo = row_l[span_row].astype(np.int64)
+    span_n = (row_h - row_l)[span_row].astype(np.int64)
 
-    # Each part holds one chunk's compressed fragments, with ``trif`` the
-    # per-fragment live-triangle position (ascending within a part).
-    parts: list[tuple[np.ndarray, ...]] = []
+    fallback = np.flatnonzero(~finite)
+    if len(fallback):
+        # Non-finite rows: dense edge test over the whole box row, each
+        # covered pixel becoming a one-pixel span.
+        wf = widths[tri_r[fallback]]
+        rr = np.repeat(fallback, wf)
+        xc = np.arange(len(rr), dtype=np.int64)
+        xc += np.repeat(min_x[tri_r[fallback]] - (np.cumsum(wf) - wf), wf)
+        with np.errstate(all="ignore"):
+            e = t[:, rr] - b[:, rr] * ((xc + 0.5) - xk[:, rr])
+        inside = np.minimum(np.minimum(e[0], e[1]), e[2]) >= 0
+        # A stable sort by row keeps each row's pixels in x order.
+        rows = np.concatenate((span_row, rr[inside]))
+        key = np.argsort(rows, kind="stable")
+        span_row = rows[key]
+        span_lo = np.concatenate((span_lo, xc[inside]))[key]
+        span_n = np.concatenate((span_n, np.ones(inside.sum(), np.int64)))[key]
 
-    for b in np.unique(bucket):
-        gsel = np.flatnonzero(bucket == b)
-        wcap = int(b) << 3
-        h = heights[gsel]
-        n_rows = int(h.sum())
-        tri_r = np.repeat(gsel, h)
-        hstarts = np.concatenate(([0], np.cumsum(h)[:-1]))
-        row_in = np.arange(n_rows, dtype=np.int64) - np.repeat(hstarts, h)
-        ys_r = min_y[tri_r] + row_in
-        py_r = ys_r + 0.5
-
-        # Row constants: the y-dependent edge terms and per-triangle
-        # coefficients, gathered once per row (rows << candidates).
-        sgn_r = sign[tri_r]
-        # The reference multiplies the whole edge function by sign; a
-        # multiply by exactly +/-1.0 is exact in IEEE, so folding it into
-        # the row constants ((t - b*dx)*s == t*s - (b*s)*dx, bitwise)
-        # drops three full-grid multiplies per chunk.
-        t0r = ea0[tri_r] * (py_r - y1[tri_r]) * sgn_r
-        t1r = ea1[tri_r] * (py_r - y2[tri_r]) * sgn_r
-        t2r = ea2[tri_r] * (py_r - y0[tri_r]) * sgn_r
-        b0r, b1r, b2r = eb0[tri_r] * sgn_r, eb1[tri_r] * sgn_r, eb2[tri_r] * sgn_r
-        x0r, x1r, x2r = x0[tri_r], x1[tri_r], x2[tri_r]
-        minx_r = min_x[tri_r]
-        w_r = widths[tri_r]
-
-        # Row-hoisted interpolation constants (see above).
-        ia_r = inv_area[tri_r]
-        iw0r, iw1r, iw2r = iw0[tri_r], iw1[tri_r], iw2[tri_r]
-        up0r, up1r, up2r = up0[tri_r], up1[tri_r], up2[tri_r]
-        uq0r, uq1r, uq2r = uq0[tri_r], uq1[tri_r], uq2[tri_r]
-        zn0r, zn1r, zn2r = zn0[tri_r], zn1[tri_r], zn2[tri_r]
-        dP0r, dP1r = dP0[tri_r], dP1[tri_r]
-        dQ0r, dQ1r = dQ0[tri_r], dQ1[tri_r]
-        dW0r, dW1r = dW0[tri_r], dW1[tri_r]
-        if per_tri_tex:
-            tw_row, th_row = tw[tri_r], th[tri_r]
-        cols = np.arange(wcap, dtype=np.int64)
-        cols_f = cols.astype(np.float64)
-        # (min_x + col) + 0.5 == (min_x + 0.5) + col bitwise: both sums of
-        # small integers and 0.5 are exact, so px can come from a row
-        # vector instead of an integer grid plus a second grid add.
-        px_row = minx_r + 0.5
-
-        chunk = max(int(block_candidates) // wcap, 1)
-        for a in range(0, n_rows, chunk):
-            s = slice(a, min(a + chunk, n_rows))
-            px = px_row[s, None] + cols_f
-            # The reference's edge functions, as 2D broadcasts: the same
-            # operation tree ((ea*(py-y1) - eb*(px-x1)) * sign, with the
-            # exact sign multiply pre-folded into t/b) over the same
-            # operand values produces the same IEEE bits.
-            e0 = t0r[s, None] - b0r[s, None] * (px - x1r[s, None])
-            e1 = t1r[s, None] - b1r[s, None] * (px - x2r[s, None])
-            e2 = t2r[s, None] - b2r[s, None] * (px - x0r[s, None])
-            # min-reduction == three >=0 tests ANDed: NaNs fail both ways
-            # and +/-0 passes both ways.
-            inside = np.minimum(np.minimum(e0, e1), e2) >= 0
-            inside &= cols < w_r[s, None]
-            if not inside.any():
-                continue
-
-            # Compress via flat indices: row and column fall out of one
-            # scan, so xs needs arithmetic instead of a second 2-D mask.
-            flat = np.flatnonzero(inside.ravel())
-            r_rel = flat // wcap
-            rf = a + r_rel
-            xs_f = minx_r[rf] + (flat - r_rel * wcap)
-
-            # In-place updates below follow the reference's operation tree
-            # exactly (((a + b) + c), ((d * e) * f), ...); only the buffer
-            # reuse differs, not the arithmetic.
-            ia_f = ia_r[rf]
-            l0 = e0.ravel()[flat]
-            l0 *= ia_f
-            l1 = e1.ravel()[flat]
-            l1 *= ia_f
-            l2 = e2.ravel()[flat]
-            l2 *= ia_f
-
-            w_frag = l0 * iw0r[rf]
-            w_frag += l1 * iw1r[rf]
-            w_frag += l2 * iw2r[rf]
-            u_f = l0 * up0r[rf]
-            u_f += l1 * up1r[rf]
-            u_f += l2 * up2r[rf]
-            u_f /= w_frag
-            v_f = l0 * uq0r[rf]
-            v_f += l1 * uq1r[rf]
-            v_f += l2 * uq2r[rf]
-            v_f /= w_frag
-            z_f = l0 * zn0r[rf]
-            z_f += l1 * zn1r[rf]
-            z_f += l2 * zn2r[rf]
-
-            inv_wf = 1.0 / w_frag
-            # A gathered constant multiplies to the same IEEE bits as the
-            # reference's scalar broadcast of the same value.
-            tw_f = tw_row[rf] if per_tri_tex else tex_width
-            th_f = th_row[rf] if per_tri_tex else tex_height
-            dW0f = dW0r[rf]
-            dW1f = dW1r[rf]
-            dudx = dP0r[rf] - u_f * dW0f
-            dudx *= inv_wf
-            dudx *= tw_f
-            dudy = dP1r[rf] - u_f * dW1f
-            dudy *= inv_wf
-            dudy *= tw_f
-            dvdx = dQ0r[rf] - v_f * dW0f
-            dvdx *= inv_wf
-            dvdx *= th_f
-            dvdy = dQ1r[rf] - v_f * dW1f
-            dvdy *= inv_wf
-            dvdy *= th_f
-            rho = np.maximum(np.hypot(dudx, dvdx), np.hypot(dudy, dvdy))
-            lod = np.log2(np.maximum(rho, 1e-12))
-
-            parts.append(
-                (tri_r[rf], xs_f, ys_r[rf], z_f, u_f, v_f, lod)
-            )
-
-    if not parts:
+    n_frags = int(span_n.sum())
+    if n_frags == 0:
         return _empty_batch()
 
-    # Scatter the parts into emission order: fragments grouped by triangle
-    # in input order, scanline order within each triangle. Destinations
-    # are computed (no sort): each part is tri-ascending and row-major, so
-    # a fragment's slot is its triangle's running cursor plus its rank
-    # within the part's triangle group.
-    part_counts = [np.bincount(pa[0], minlength=n_live) for pa in parts]
-    totals = part_counts[0].copy()
-    for c in part_counts[1:]:
-        totals += c
-    n_frags = int(totals.sum())
-    cursor = np.concatenate(([0], np.cumsum(totals)[:-1]))
-
-    out_xs = np.empty(n_frags, dtype=np.int64)
-    out_ys = np.empty(n_frags, dtype=np.int64)
+    # Integer fields come straight from the spans.
+    span_start = np.cumsum(span_n) - span_n
+    out_xs = np.arange(n_frags, dtype=np.int64)
+    out_xs += np.repeat(span_lo - span_start, span_n)
+    out_ys = np.repeat(ys_r[span_row], span_n)
+    span_tri = tri_r[span_row]
+    out_tri = np.repeat(idx[span_tri], span_n)
     out_z = np.empty(n_frags, dtype=np.float64)
     out_u = np.empty(n_frags, dtype=np.float64)
     out_v = np.empty(n_frags, dtype=np.float64)
     out_lod = np.empty(n_frags, dtype=np.float64)
-    out_tri = np.empty(n_frags, dtype=np.int64)
 
-    for (trif, xsf, ysf, zf, uf, vf, lodf), cnt in zip(parts, part_counts):
-        first = np.flatnonzero(np.diff(trif, prepend=-1))
-        reps = np.diff(np.append(first, len(trif)))
-        rank = np.arange(len(trif), dtype=np.int64) - np.repeat(first, reps)
-        dest = cursor[trif] + rank
-        out_xs[dest] = xsf
-        out_ys[dest] = ysf
-        out_z[dest] = zf
-        out_u[dest] = uf
-        out_v[dest] = vf
-        out_lod[dest] = lodf
-        out_tri[dest] = idx[trif]
-        cursor += cnt
+    # Per-triangle constants, one contiguous row each, gathered per block.
+    per_tri_tex = np.ndim(tex_width) > 0
+    tri_consts = [b_t, xk_t, inv_area, iw.T, uvw[:, :, 0].T,
+                  uvw[:, :, 1].T, zn.T, dP.T, dQ.T, dW.T]
+    if per_tri_tex:
+        dims = (tex_width, tex_height)
+        tri_consts += [np.asarray(d, dtype=np.float64).reshape(-1)[idx] for d in dims]
+    tri_consts = np.vstack(tri_consts)
+
+    # Blocks of whole spans holding about block_candidates fragments.
+    span_end = span_start + span_n
+    marks = np.arange(block_candidates, n_frags, block_candidates)
+    cuts = np.searchsorted(span_end, marks, side="right")
+    bounds = np.unique(np.concatenate(([0], cuts, [len(span_n)])))
+    for s0, s1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        fs = slice(int(span_start[s0]), int(span_end[s1 - 1]))
+        (t0, t1, t2, b0, b1, b2, xk0, xk1, xk2, ia, iw0, iw1, iw2,
+         up0, up1, up2, uq0, uq1, uq2, zn0, zn1, zn2,
+         dP0, dP1, dQ0, dQ1, dW0, dW1, *tex) = np.vstack(
+            (t[:, span_row[s0:s1]], tri_consts[:, span_tri[s0:s1]])
+        )
+        # Span constants expand to fragments just before use: np.repeat
+        # beats per-fragment gathers and keeps few temporaries live.
+        r = partial(np.repeat, repeats=span_n[s0:s1])
+        px = out_xs[fs] + 0.5
+        # The reference's edge functions and interpolation, evaluated at
+        # covered pixels only. In-place updates follow the reference's
+        # operation tree exactly (((a + b) + c), ((d * e) * f), ...); only
+        # the buffer reuse differs, not the arithmetic.
+        ia_f = r(ia)
+        l0 = r(t0) - r(b0) * (px - r(xk0))
+        l0 *= ia_f
+        l1 = r(t1) - r(b1) * (px - r(xk1))
+        l1 *= ia_f
+        l2 = r(t2) - r(b2) * (px - r(xk2))
+        l2 *= ia_f
+
+        w_frag = l0 * r(iw0)
+        w_frag += l1 * r(iw1)
+        w_frag += l2 * r(iw2)
+        u_f = np.multiply(l0, r(up0), out=out_u[fs])
+        u_f += l1 * r(up1)
+        u_f += l2 * r(up2)
+        u_f /= w_frag
+        v_f = np.multiply(l0, r(uq0), out=out_v[fs])
+        v_f += l1 * r(uq1)
+        v_f += l2 * r(uq2)
+        v_f /= w_frag
+        z_f = np.multiply(l0, r(zn0), out=out_z[fs])
+        z_f += l1 * r(zn1)
+        z_f += l2 * r(zn2)
+
+        inv_wf = 1.0 / w_frag
+        # A repeated constant multiplies to the same IEEE bits as the
+        # reference's scalar broadcast of the same value.
+        tw_f, th_f = map(r, tex) if per_tri_tex else (tex_width, tex_height)
+        dW0f, dW1f = r(dW0), r(dW1)
+        dudx = r(dP0) - u_f * dW0f
+        dudx *= inv_wf
+        dudx *= tw_f
+        dudy = r(dP1) - u_f * dW1f
+        dudy *= inv_wf
+        dudy *= tw_f
+        dvdx = r(dQ0) - v_f * dW0f
+        dvdx *= inv_wf
+        dvdx *= th_f
+        dvdy = r(dQ1) - v_f * dW1f
+        dvdy *= inv_wf
+        dvdy *= th_f
+        rho = np.maximum(np.hypot(dudx, dvdx), np.hypot(dudy, dvdy))
+        np.log2(np.maximum(rho, 1e-12), out=out_lod[fs])
 
     batch = FragmentBatch(
         xs=out_xs, ys=out_ys, z=out_z, u=out_u, v=out_v, lod=out_lod,

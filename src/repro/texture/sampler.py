@@ -23,7 +23,13 @@ import numpy as np
 
 from repro.texture.mipmap import mip_level_dims
 from repro.texture.texture import Texture
-from repro.texture.tiling import L1_TILE_TEXELS, pack_tile_refs
+from repro.texture.tiling import (
+    _MIP_SHIFT,
+    _TID_SHIFT,
+    _TY_SHIFT,
+    L1_TILE_TEXELS,
+    pack_tile_refs,
+)
 
 __all__ = [
     "FilterMode",
@@ -33,6 +39,10 @@ __all__ = [
     "texel_reads_per_fragment",
     "sample_color",
 ]
+
+
+#: log2(L1_TILE_TEXELS): texel coordinate -> 4x4 tile coordinate.
+_TILE_SHIFT = L1_TILE_TEXELS.bit_length() - 1
 
 
 class FilterMode(enum.Enum):
@@ -101,20 +111,23 @@ def _level_tiles(
     uu = u * w
     vv = v * h
     if bilinear:
-        x0 = np.floor(uu - 0.5).astype(np.int64)
-        y0 = np.floor(vv - 0.5).astype(np.int64)
-        xs = (np.mod(x0, w), np.mod(x0 + 1, w))
-        ys = (np.mod(y0, h), np.mod(y0 + 1, h))
+        # pack_tile_refs, inlined: the (tid, mip) prefix is shared by all
+        # four columns, x0 + 1 wraps by one compare instead of a second
+        # np.mod, and wrapped coordinates are non-negative, so the 4-texel
+        # tile divide is a shift.
+        base = (tid << _TID_SHIFT) | (levels << _MIP_SHIFT)
+        xa = np.mod(np.floor(uu - 0.5).astype(np.int64), w)
+        ya = np.mod(np.floor(vv - 0.5).astype(np.int64), h)
+        xb = xa + 1
+        xb[xb == w] = 0
+        yb = ya + 1
+        yb[yb == h] = 0
+        txs = (xa >> _TILE_SHIFT, xb >> _TILE_SHIFT)
         col = 0
-        for yy in ys:
-            for xx in xs:
-                out[:, col] = pack_tile_refs(
-                    tid,
-                    levels,
-                    yy // L1_TILE_TEXELS,
-                    xx // L1_TILE_TEXELS,
-                    check=False,
-                )
+        for yy in (ya, yb):
+            row = base | ((yy >> _TILE_SHIFT) << _TY_SHIFT)
+            for tx in txs:
+                np.bitwise_or(row, tx, out=out[:, col])
                 col += 1
     else:
         x = np.mod(np.floor(uu).astype(np.int64), w)

@@ -204,3 +204,131 @@ class TestWorkloadDifferential:
         bat = Renderer(wl.scene.instances, wl.scene.manager, opts)
         for a, b in zip(ref.iter_frames(cams), bat.iter_frames(cams)):
             _frame_equal(a, b, check_image=False)
+
+
+# --- Extreme geometry: the span kernel's boundary snapping ------------------
+#
+# The batched kernel finds each row's covered span from a float estimate of
+# every edge crossing, snapped to the exact column with the kernel's own edge
+# function. These cases stress that snap where it is most fragile: huge
+# coordinates, near-degenerate slivers, axis-aligned edges (b == 0 rows),
+# crossings exactly on pixel centres, and per-triangle bindings.
+
+def reference_batch_per_triangle(screen, inv_w, uv, z_ndc, tex_w, tex_h,
+                                 double_sided, order):
+    """The per-triangle loop with per-triangle texture size and sidedness."""
+    cols = {k: [] for k in ("xs", "ys", "z", "u", "v", "lod", "tri_ids")}
+    for i in range(screen.shape[0]):
+        frags = rasterize_triangle(
+            screen_xy=screen[i], inv_w=inv_w[i], uv=uv[i], z_ndc=z_ndc[i],
+            width=W, height=H,
+            tex_width=float(tex_w[i]), tex_height=float(tex_h[i]),
+            double_sided=bool(double_sided[i]), order=order,
+        )
+        if frags is None:
+            continue
+        for k in ("xs", "ys", "z", "u", "v", "lod"):
+            cols[k].append(getattr(frags, k))
+        cols["tri_ids"].append(np.full(len(frags), i, dtype=np.int64))
+    if not cols["xs"]:
+        return None
+    return {k: np.concatenate(v) for k, v in cols.items()}
+
+
+huge = st.floats(-1e7, 1e7)
+near = st.floats(-20.0, 70.0)
+# Pixel corners (integers) and pixel centres (half-integers) in and around
+# the viewport: edges through them put crossings exactly on sample points.
+on_grid = st.integers(-20, 2 * W + 20).map(lambda k: k / 2)
+vertex_coord = st.one_of(huge, near, on_grid)
+
+
+@st.composite
+def extreme_triangle(draw):
+    kind = draw(st.sampled_from(["free", "sliver", "axis", "grid", "centre"]))
+    coord = on_grid if kind == "grid" else vertex_coord
+    pts = [[draw(coord), draw(coord)] for _ in range(3)]
+    if kind == "sliver":
+        # Two vertices within 1e-9 of each other.
+        tiny = st.floats(-1e-9, 1e-9)
+        pts[1] = [pts[0][0] + draw(tiny), pts[0][1] + draw(tiny)]
+    elif kind == "axis":
+        # One edge axis-aligned (b == 0 when horizontal), optionally a
+        # second one at right angles to it.
+        axis = draw(st.integers(0, 1))
+        pts[1][axis] = pts[0][axis]
+        if draw(st.booleans()):
+            pts[2][1 - axis] = pts[1][1 - axis]
+    elif kind == "centre":
+        # An edge through a pixel centre in exact arithmetic: rounding
+        # decides which side the centre falls on, so the float crossing
+        # estimate can land on either neighbour and the snap must walk.
+        cx = draw(st.integers(0, W - 1)) + 0.5
+        cy = draw(st.integers(0, H - 1)) + 0.5
+        dx, dy = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+        a, c = draw(st.floats(1.0, 30.0)), draw(st.floats(1.0, 30.0))
+        pts[0] = [cx + a * dx, cy + a * dy]
+        pts[1] = [cx - c * dx, cy - c * dy]
+    return pts
+
+
+@st.composite
+def extreme_batches(draw):
+    n = draw(st.integers(1, 8))
+    screen = np.array([draw(extreme_triangle()) for _ in range(n)],
+                      dtype=np.float64).reshape(n, 3, 2)
+    inv_w = np.array([[draw(invw) for _ in range(3)] for _ in range(n)])
+    uv = np.array([[draw(uvc) for _ in range(6)] for _ in range(n)]).reshape(n, 3, 2)
+    z = np.array([[draw(zc) for _ in range(3)] for _ in range(n)])
+    dims = st.sampled_from([1, 3, 64, 100, 1024])
+    tex_w = np.array([draw(dims) for _ in range(n)], dtype=np.float64)
+    tex_h = np.array([draw(dims) for _ in range(n)], dtype=np.float64)
+    ds = np.array([draw(st.booleans()) for _ in range(n)])
+    return screen, inv_w, uv, z, tex_w, tex_h, ds
+
+
+class TestExtremeGeometryDifferential:
+    @given(extreme_batches(),
+           st.sampled_from([RasterOrder.SCANLINE, RasterOrder.TILED]))
+    @settings(max_examples=150, deadline=None)
+    def test_property_bit_identical(self, batch_args, order):
+        screen, inv_w, uv, z, tex_w, tex_h, ds = batch_args
+        got = rasterize_triangles(
+            screen_xy=screen, inv_w=inv_w, uv=uv, z_ndc=z,
+            width=W, height=H, tex_width=tex_w, tex_height=tex_h,
+            double_sided=ds, order=order,
+        )
+        ref = reference_batch_per_triangle(
+            screen, inv_w, uv, z, tex_w, tex_h, ds, order
+        )
+        assert_batches_identical(got, ref)
+
+    @pytest.mark.parametrize("order", [RasterOrder.SCANLINE, RasterOrder.TILED])
+    def test_overflowing_rows_take_the_dense_fallback(self, order):
+        # Products of these coordinates overflow to inf, so the rows' edge
+        # terms are non-finite and are edge-tested densely, row by row.
+        screen = np.array([
+            [[10.25, -1e155], [10.25, 1e155], [1e155, 20.5]],
+            [[5.5, 3.0], [1e200, 3.0], [5.5, 1e200]],
+            [[-1e170, 7.5], [30.0, -1e170], [1e170, 30.0]],
+            [[-1e200, 30.0], [40.0, 30.0], [20.0, 1e-3]],
+        ])
+        n = len(screen)
+        rng = np.random.default_rng(5)
+        inv_w = rng.uniform(0.5, 2.0, (n, 3))
+        uv = rng.uniform(0.0, 1.0, (n, 3, 2))
+        z = rng.uniform(-1.0, 1.0, (n, 3))
+        tex_w = np.array([64.0, 3.0, 100.0, 1.0])
+        tex_h = np.array([32.0, 1024.0, 1.0, 64.0])
+        ds = np.ones(n, dtype=bool)
+        with np.errstate(all="ignore"):
+            got = rasterize_triangles(
+                screen_xy=screen, inv_w=inv_w, uv=uv, z_ndc=z,
+                width=W, height=H, tex_width=tex_w, tex_height=tex_h,
+                double_sided=ds, order=order,
+            )
+            ref = reference_batch_per_triangle(
+                screen, inv_w, uv, z, tex_w, tex_h, ds, order
+            )
+        assert ref is not None and len(got) > 0
+        assert_batches_identical(got, ref)
