@@ -32,7 +32,7 @@ from repro.reliability.transfer import (
     FrameTransferStats,
     TransferPolicy,
 )
-from repro.tenancy.address import tenant_of_refs
+from repro.tenancy.address import tenant_of_refs_table, tenant_table
 from repro.tenancy.partition import PartitionedL2, PartitionedTLB, TenancyConfig
 from repro.tenancy.stats import FRAME_TENANT_COLUMNS, TenantFrameStats
 from repro.texture.tiling import AddressSpace, L1_BLOCK_BYTES
@@ -538,7 +538,9 @@ class MultiLevelTextureCache:
                     f"tenancy tid_bases {self.tenancy.tid_bases} lie outside "
                     f"the address space ({space.texture_count} textures)"
                 )
-            self._tid_bases = np.asarray(self.tenancy.tid_bases, dtype=np.int64)
+            self._tenant_of_tid = tenant_table(
+                self.tenancy.tid_bases, space.texture_count
+            )
         self.l1 = L1CacheSim(config.l1, use_reference=use_reference)
         if config.l2 is None:
             self.l2 = None
@@ -661,16 +663,21 @@ class MultiLevelTextureCache:
         """One frame of a merged multi-tenant stream with attribution.
 
         The L1 runs the merged stream whole (it is shared and tenant-
-        oblivious); the L1 miss stream is split into runs of equal tenant
-        and fed segment-wise to the (shared or partitioned) TLB and L2.
-        Both batched engines are invariant to call chunking, so segment-
-        wise simulation is bit-identical to one call while attributing
-        every transaction to its tenant. Per-tenant partials are then
-        folded into whole-frame stats with :meth:`FrameCacheStats.merge`.
+        oblivious); the L1 miss stream is split into segments of equal
+        tenant and fed segment-wise to the (shared or partitioned) TLB and
+        L2. Both batched engines are invariant to call chunking, so
+        segment-wise simulation is bit-identical to one call while
+        attributing every transaction to its tenant. When every present
+        level is partitioned, no state is shared between tenants, so the
+        miss stream is first stably reordered by tenant and each tenant
+        gets one segment (one L2 and one TLB call per frame); a shared L2
+        or TLB needs the interleaving and walks the maximal same-tenant
+        runs in stream order. Per-tenant partials are then folded into
+        whole-frame stats with :meth:`FrameCacheStats.merge`.
         """
         ten = self.tenancy
         n = ten.n_tenants
-        tenant_of = tenant_of_refs(frame.refs, self._tid_bases)
+        tenant_of = tenant_of_refs_table(frame.refs, self._tenant_of_tid)
         sets = self.space.l1_set_indices(frame.refs, self.config.l1.n_sets)
         l1_res = self.l1.access_frame(frame.refs, frame.weights, sets)
         t_reads = (
@@ -678,7 +685,7 @@ class MultiLevelTextureCache:
             .astype(np.int64)
         )
         t_accesses = np.bincount(tenant_of, minlength=n).astype(np.int64)
-        miss_tenant = tenant_of_refs(l1_res.miss_refs, self._tid_bases)
+        miss_tenant = tenant_of_refs_table(l1_res.miss_refs, self._tenant_of_tid)
         t_misses = np.bincount(miss_tenant, minlength=n).astype(np.int64)
 
         l2_acc = np.zeros((n, len(FRAME_L2_COLUMNS)), dtype=np.int64)
@@ -688,6 +695,14 @@ class MultiLevelTextureCache:
             gids, subs = self.space.l2_addresses(l1_res.miss_refs, l2_tile)
             l2_parted = isinstance(self.l2, PartitionedL2)
             tlb_parted = isinstance(self.tlb, PartitionedTLB)
+            if l2_parted and (self.tlb is None or tlb_parted):
+                # No level is shared, so the tenants' substreams are
+                # independent: a stable reorder by tenant leaves each
+                # substream in access order and gives one call per tenant.
+                by_tenant = np.argsort(miss_tenant, kind="stable")
+                miss_tenant = miss_tenant[by_tenant]
+                gids = gids[by_tenant]
+                subs = subs[by_tenant]
             seg_starts = np.concatenate(
                 [[0], np.flatnonzero(np.diff(miss_tenant)) + 1]
             )

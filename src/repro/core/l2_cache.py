@@ -20,10 +20,13 @@ Accounting distinguishes (per §5.4.2's conditional hit rates):
 Like :class:`~repro.core.l1_cache.L1CacheSim`, the simulator has two
 interchangeable engines: a per-access reference loop (``use_reference=True``)
 and a batched kernel that classifies whole chunks of the miss stream with
-numpy passes, dropping into a tight allocation loop only at first-touch full
-misses. The two are bit-identical — per-frame transaction counts, eviction
-counts, final residency state, and replacement-policy state all match — and
-the differential test suite asserts it.
+numpy passes, dropping into a tight allocation loop only at full misses.
+An evicted entry that recurs later in the same chunk joins that loop as a
+full miss, and its gid's classes are re-derived per residency episode, so
+every chunk is sorted and walked exactly once however small the cache.
+The two engines are bit-identical — per-frame transaction counts, eviction
+counts, final residency state, and replacement-policy state all match —
+and the differential test suite asserts it.
 
 :class:`SetAssociativeL2Cache` implements the organization §5.1 argues
 *against* (restricted placement causes inter-texture collisions); it exists
@@ -32,6 +35,7 @@ for the associativity ablation.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,17 +248,13 @@ class L2TextureCache:
             return self._access_blocks_reference(gids, subs)
         n = len(gids)
         full_hits = partial = full_miss = evictions = 0
-        start = 0
-        while start < n:
-            stop = min(start + self._chunk_size, n)
-            done, fh, ph, fm, ev = self._access_chunk(
-                gids[start:stop], subs[start:stop]
-            )
+        for start in range(0, n, self._chunk_size):
+            stop = start + self._chunk_size
+            fh, ph, fm, ev = self._access_chunk(gids[start:stop], subs[start:stop])
             full_hits += fh
             partial += ph
             full_miss += fm
             evictions += ev
-            start += done
         return L2FrameResult(
             accesses=n,
             full_hits=full_hits,
@@ -319,17 +319,19 @@ class L2TextureCache:
 
     def _access_chunk(
         self, g: np.ndarray, s: np.ndarray
-    ) -> tuple[int, int, int, int, int]:
+    ) -> tuple[int, int, int, int]:
         """Run one chunk of the miss stream through the batched kernel.
 
         Classifies every access optimistically from a snapshot of the page
-        table plus within-chunk first-occurrence masks, then commits policy
-        touches segment-wise between full misses so every ``victim`` call
-        sees exactly the touches that preceded it. The one case the
-        snapshot cannot absorb — an evicted entry re-accessed later in the
-        same chunk — truncates the chunk at the re-access; the caller
-        re-enters with a fresh snapshot. Returns ``(processed, full_hits,
-        partial_hits, full_misses, evictions)`` for the processed prefix.
+        table plus within-chunk first-occurrence masks, then walks the full
+        misses in access order, replaying allocation exactly and committing
+        policy touches segment-wise between them, so every ``victim`` call
+        sees exactly the touches that preceded it. An eviction whose gid
+        recurs later in the chunk turns that next occurrence into a full
+        miss the snapshot could not see: it joins the walk through a heap,
+        and the classes and sector words of such re-allocated gids are
+        re-derived per residency episode afterwards. Returns
+        ``(full_hits, partial_hits, full_misses, evictions)``.
         """
         t_block = self._t_block
         t_sectors = self._t_sectors
@@ -338,23 +340,20 @@ class L2TextureCache:
         n = len(g)
 
         bits = np.uint64(1) << s.astype(np.uint64)
-        blk = t_block[g]  # physical block per access; filled as misses allocate
-        resident0 = blk >= 0
+        resident0 = t_block[g] >= 0
         bit_set0 = (t_sectors[g] & bits) != 0
 
-        # First occurrence of each gid / of each (gid, sub) pair in the chunk.
+        # Occurrences grouped by gid, each group in access order, and the
+        # first occurrence of each gid / of each (gid, sub) pair.
         order = np.argsort(g, kind="stable")
         sg = g[order]
         boundary = np.empty(n, dtype=bool)
         boundary[0] = True
         np.not_equal(sg[1:], sg[:-1], out=boundary[1:])
-        first_gid = np.zeros(n, dtype=bool)
-        first_gid[order[boundary]] = True
         group_start = np.flatnonzero(boundary)
         group_end = np.append(group_start[1:], n)
-        group_of = np.cumsum(boundary) - 1
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n)
+        first_gid = np.zeros(n, dtype=bool)
+        first_gid[order[group_start]] = True
 
         pair_key = (g << np.int64(6)) | s  # sub < 64 by config validation
         pair_order = np.argsort(pair_key, kind="stable")
@@ -365,26 +364,49 @@ class L2TextureCache:
         first_pair = np.zeros(n, dtype=bool)
         first_pair[pair_order[pair_boundary]] = True
 
-        # A nonresident entry always has zero sector bits, so the three
-        # classes partition exactly as the sequential loop would see them —
-        # as long as no mid-chunk eviction invalidates the snapshot for a
-        # later access (the truncation below guarantees that).
+        # A nonresident entry always has zero sector bits, so these classes
+        # are exactly what the sequential loop sees — for every access that
+        # precedes its gid's first mid-chunk eviction.
         full_miss = first_gid & ~resident0
         partial = first_pair & ~bit_set0 & ~full_miss
 
-        miss_positions = np.flatnonzero(full_miss)
-        limit = n
+        first_misses = np.flatnonzero(full_miss).tolist()
+        requeued: list[int] = []
         evictions = 0
         evicted: list[int] = []
-        if miss_positions.size:
-            free = self._free
+        if first_misses:
+            group_of = np.cumsum(boundary) - 1
+            pos_group = np.empty(n, dtype=np.int64)
+            pos_group[order] = group_of
+            # Occurrences ordered by (group, position): one searchsorted
+            # finds an evicted gid's next occurrence after the eviction.
+            occ_key = group_of * n + order
+            # Chunk group of the gid each physical block holds (-1: that
+            # gid does not occur in the chunk).
             n_blocks = self.config.n_blocks
+            block_group = np.full(n_blocks, -1, dtype=np.int64)
+            held = order[group_start]
+            held_res = resident0[held]
+            block_group[t_block[g[held[held_res]]]] = np.flatnonzero(held_res)
+
+            free = self._free
+            pending: list[int] = []  # heap of re-queued full misses
+            n_first = len(first_misses)
+            i = 0
             seg_start = 0
-            for p in miss_positions.tolist():
-                if p >= limit:
+            while True:
+                if pending and (i == n_first or pending[0] < first_misses[i]):
+                    p = heapq.heappop(pending)
+                    requeued.append(p)
+                elif i < n_first:
+                    p = first_misses[i]
+                    i += 1
+                else:
                     break
                 if p > seg_start:
-                    policy.touch_many(blk[seg_start:p])
+                    # No mapping changes between two misses, so the live
+                    # page table gives every touched block exactly.
+                    policy.touch_many(t_block[g[seg_start:p]])
                 gid = int(g[p])
                 if free:
                     b = free.pop()
@@ -396,46 +418,74 @@ class L2TextureCache:
                     old = int(brl[b])
                     if old >= 0:
                         t_block[old] = -1
-                        t_sectors[old] = 0
                         evictions += 1
                         evicted.append(old)
-                        # If the evicted entry recurs later in this chunk,
-                        # the optimistic classification is stale from the
-                        # re-access on: truncate there and let the caller
-                        # reprocess the remainder against fresh state.
-                        lo = int(np.searchsorted(sg, old, side="left"))
-                        if lo < n and sg[lo] == old:
-                            occ = order[lo : group_end[group_of[lo]]]
-                            j = int(np.searchsorted(occ, p, side="right"))
-                            if j < len(occ) and occ[j] < limit:
-                                limit = int(occ[j])
+                        grp = int(block_group[b])
+                        if grp >= 0:
+                            j = int(occ_key.searchsorted(grp * n + p, "right"))
+                            if j < group_end[grp]:
+                                heapq.heappush(pending, int(order[j]))
                 brl[b] = gid
                 t_block[gid] = b
-                # Later accesses to this gid in the chunk hit block b. The
-                # miss is the gid's first occurrence, so its sorted group
-                # starts at this access.
-                occ = order[rank[p] + 1 : group_end[group_of[rank[p]]]]
-                if len(occ):
-                    blk[occ] = b
+                block_group[b] = pos_group[p]
                 policy.touch(b)
                 seg_start = p + 1
-            if seg_start < limit:
-                policy.touch_many(blk[seg_start:limit])
+            if seg_start < n:
+                policy.touch_many(t_block[g[seg_start:]])
         else:
-            policy.touch_many(blk)
+            policy.touch_many(t_block[g])
 
-        # Sector updates commute with everything above except the eviction
-        # clears — and a cleared entry is never re-ORed within the processed
-        # prefix (truncation) — so OR once, then re-clear evicted entries.
-        upd = np.flatnonzero((partial | full_miss)[:limit])
-        if len(upd):
-            np.bitwise_or.at(t_sectors, g[upd], bits[upd])
+        # Sector updates commute with everything above except eviction
+        # clears: OR once, then re-clear evicted entries.
+        upd = partial | full_miss
+        ph = int(np.count_nonzero(partial))
+        if requeued:
+            # Re-allocated gids: from the first re-miss on, the snapshot's
+            # classes are stale. Split their occurrences into residency
+            # episodes at each re-miss; within an episode the first access
+            # to a sub is the download, and the final episode's subs make
+            # the sector word.
+            rq = np.asarray(requeued)  # ascending: the walk is in order
+            remiss = np.zeros(n, dtype=bool)
+            remiss[rq] = True
+            groups, first_rq = np.unique(pos_group[rq], return_index=True)
+            lo = group_start[groups]
+            lens = group_end[groups] - lo
+            ends = np.cumsum(lens)
+            # The gids' occurrences, gid by gid, each in access order.
+            pos = order[np.repeat(lo - ends + lens, lens) + np.arange(ends[-1])]
+            late = pos >= np.repeat(rq[first_rq], lens)
+            episode_start = remiss[pos]
+            episode_start[ends - lens] = True
+            seg = np.cumsum(episode_start) - 1
+            late_pos = pos[late]
+            key = (seg[late] << np.int64(6)) | s[late_pos]
+            key_order = np.argsort(key, kind="stable")
+            sk = key[key_order]
+            first = np.empty(len(sk), dtype=bool)
+            first[0] = True
+            np.not_equal(sk[1:], sk[:-1], out=first[1:])
+            downloads = np.zeros(len(sk), dtype=bool)
+            downloads[key_order[first]] = True
+            downloads &= ~remiss[late_pos]
+            ph += int(np.count_nonzero(downloads))
+            ph -= int(np.count_nonzero(partial[late_pos]))
+            upd[pos] = False
+            seg_bits = np.bitwise_or.reduceat(bits[pos], np.flatnonzero(episode_start))
+            realloc = sg[lo]
+            final_bits = np.where(
+                t_block[realloc] >= 0, seg_bits[seg[ends - 1]], np.uint64(0)
+            )
+        upd_idx = np.flatnonzero(upd)
+        if len(upd_idx):
+            np.bitwise_or.at(t_sectors, g[upd_idx], bits[upd_idx])
         if evicted:
             t_sectors[np.asarray(evicted, dtype=np.int64)] = 0
+        if requeued:
+            t_sectors[realloc] = final_bits
 
-        fm = int(np.count_nonzero(full_miss[:limit]))
-        ph = int(np.count_nonzero(partial[:limit]))
-        return limit, limit - fm - ph, ph, fm, evictions
+        fm = len(first_misses) + len(requeued)
+        return n - fm - ph, ph, fm, evictions
 
     # ------------------------------------------------------------------
     def deallocate_texture(self, tid: int) -> int:

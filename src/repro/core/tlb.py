@@ -8,11 +8,14 @@ TLB's was round robin" — LRU is also provided for comparison.
 
 Like the cache simulators, the TLB has a per-access reference loop
 (``use_reference=True``) and a batched engine that resolves a whole frame
-in numpy passes. LRU is the L1's recency-stack kernel
-(:func:`repro.core.l1_cache.lru_stack_levels`) run as a single set; TLBs
-wider than :data:`~repro.core.l1_cache.MAX_KERNEL_WAYS` entries run the
-loop, as the L1 does. Round robin scans blocks of accesses against the
-entry table and drops to the scalar loop only inside miss-bearing blocks.
+in numpy passes. The batched engine first collapses runs of a repeated
+gid: a consecutive repeat always hits and changes no state under either
+policy, so only run heads reach the policy engines. LRU is the L1's
+recency-stack kernel (:func:`repro.core.l1_cache.lru_stack_levels`) run as
+a single set; TLBs wider than :data:`~repro.core.l1_cache.MAX_KERNEL_WAYS`
+entries run the loop, as the L1 does. Round robin runs the per-access loop
+over the run heads: their hit streaks are short, so a block scan against
+the entry table is slower than probing a handful of entries per access.
 Both are bit-identical to the loops, including the carried entry list and
 hand position.
 """
@@ -101,18 +104,32 @@ class TextureTableTLB:
         wide_lru = self.policy == "lru" and self.n_entries > MAX_KERNEL_WAYS
         if self._use_reference or wide_lru:
             return self._access_frame_reference(gids)
-        if len(gids) == 0:
+        n = len(gids)
+        if n == 0:
             return TLBFrameResult(accesses=0, hits=0)
+        # A consecutive repeat always hits and changes no state: round
+        # robin mutates only on a miss, and under LRU the repeated entry
+        # is already the most recent. Only run heads reach the engines.
+        head = np.empty(n, dtype=bool)
+        head[0] = True
+        np.not_equal(gids[1:], gids[:-1], out=head[1:])
+        runs = gids[head]
+        repeats = n - len(runs)
         if self.policy == "round_robin":
-            return self._access_round_robin_batched(gids)
-        # LRU: the recency-stack kernel over a single set.
-        group_start = np.zeros(len(gids), dtype=bool)
-        group_start[0] = True
-        carried = np.full((1, self.n_entries), EMPTY, dtype=np.int64)
-        carried[0, : len(self._entries)] = self._entries[::-1]
-        hit, stack = lru_stack_levels(gids, group_start, carried)
-        self._entries = [int(g) for g in stack[0, ::-1] if g != EMPTY]
-        return TLBFrameResult(accesses=len(gids), hits=int(np.count_nonzero(hit)))
+            # Run heads rarely hit many times in a row, so a block scan
+            # against the entry table does not pay for itself: probing a
+            # handful of entries per run head is the fastest engine.
+            hits = self._access_frame_reference(runs).hits
+        else:
+            # LRU: the recency-stack kernel over a single set.
+            group_start = np.zeros(len(runs), dtype=bool)
+            group_start[0] = True
+            carried = np.full((1, self.n_entries), EMPTY, dtype=np.int64)
+            carried[0, : len(self._entries)] = self._entries[::-1]
+            hit, stack = lru_stack_levels(runs, group_start, carried)
+            self._entries = [int(g) for g in stack[0, ::-1] if g != EMPTY]
+            hits = int(np.count_nonzero(hit))
+        return TLBFrameResult(accesses=n, hits=hits + repeats)
 
     def _access_frame_reference(self, gids: np.ndarray) -> TLBFrameResult:
         """Per-access loop; the ground truth the batched engine must match."""
@@ -142,51 +159,3 @@ class TextureTableTLB:
                         entries.append(gid)
             self._hand = hand
         return TLBFrameResult(accesses=len(gids), hits=hits)
-
-    def _access_round_robin_batched(self, gids: np.ndarray) -> TLBFrameResult:
-        """Whole-frame round robin via block scans with a scalar fallback.
-
-        Round robin only mutates on a miss, so a block of accesses can be
-        checked against the (unchanging) entry table in one ``isin`` pass;
-        an all-hit block costs a single vector op. A block containing a
-        miss is finished with the scalar loop from the first miss onward —
-        membership in a handful of entries is a cheap list probe, so the
-        scalar tail never costs more than the reference loop. Block size
-        doubles through hit runs and halves after miss-bearing blocks, so
-        hit-heavy streams are resolved almost entirely vectorized while
-        miss-heavy streams degrade gracefully to reference speed.
-        """
-        cap = self.n_entries
-        entries = self._entries
-        hand = self._hand
-        hits = 0
-        n = len(gids)
-        pos = 0
-        block = 512
-        while pos < n:
-            seg = gids[pos : pos + block]
-            if entries:
-                # Membership against a handful of entries: one broadcast
-                # equality beats np.isin's sort-based path by an order of
-                # magnitude at these sizes.
-                table = np.asarray(entries, dtype=np.int64)
-                mask = (seg[:, None] == table).any(axis=1)
-                first = int(np.argmin(mask)) if not mask.all() else len(seg)
-            else:
-                first = 0
-            hits += first
-            if first < len(seg):
-                for gid in seg[first:].tolist():
-                    if gid in entries:
-                        hits += 1
-                    elif len(entries) >= cap:
-                        entries[hand] = gid
-                        hand = (hand + 1) % cap
-                    else:
-                        entries.append(gid)
-                block = max(64, block // 2)
-            else:
-                block = min(block * 2, 1 << 16)
-            pos += len(seg)
-        self._hand = hand
-        return TLBFrameResult(accesses=n, hits=hits)

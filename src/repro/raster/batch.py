@@ -9,19 +9,20 @@ emission order of the per-triangle reference rasterizer
 (:func:`repro.raster.rasterizer.rasterize_triangle`): triangles in input
 order, fragments in scanline (or tiled) order within each triangle.
 
-Coverage is found per row, not per pixel. On a fixed row the kernel's edge
-function ``e = t - b*(px - xk)`` is monotone in ``px`` under IEEE rounding,
-because ``fl(a - c)`` and ``fl(b*d)`` are monotone in their varying
-argument. Each edge's ``e >= 0`` set is therefore a prefix (``b > 0``) or a
-suffix (``b < 0``) of the row, all or nothing when ``b == 0``, and the
-covered pixels of a row are one interval ``[lo, hi)``. Each boundary is
-estimated in float from the crossing ``xk + t/b`` and then snapped to the
-exact column by evaluating the kernel's own ``e`` at neighbouring columns,
-so the spans are exactly the pixels a dense edge test would keep. A row
-with a non-finite ``t``, ``b`` or ``xk`` (overflowing coordinates) is
-edge-tested densely instead. Rows are laid out in triangle order, so the
-spans — and the fragments expanded from them — are already in emission
-order.
+Coverage is found per row, not per pixel. Like the reference, it takes each
+edge from its endpoint with the smaller x, so it does not depend on the
+winding. On a fixed row the kernel's edge function ``e = t - b*(px - xk)``
+is monotone in ``px`` under IEEE rounding, because ``fl(a - c)`` and
+``fl(b*d)`` are monotone in their varying argument. Each edge's ``e >= 0``
+set is therefore a prefix (``b > 0``) or a suffix (``b < 0``) of the row,
+all or nothing when ``b == 0``, and the covered pixels of a row are one
+interval ``[lo, hi)``. Each boundary is estimated in float from the
+crossing ``xk + t/b`` and then snapped to the exact column by evaluating
+the kernel's own ``e`` at neighbouring columns, so the spans are exactly
+the pixels a dense edge test would keep. A row with a non-finite ``t``,
+``b`` or ``xk`` (overflowing coordinates) is edge-tested densely instead.
+Rows are laid out in triangle order, so the spans — and the fragments
+expanded from them — are already in emission order.
 
 Engine pairing (the PR 3 pattern, applied upstream of the caches): every
 arithmetic expression mirrors the reference implementation operation for
@@ -251,6 +252,13 @@ def rasterize_triangles(
     ey = (y1, y2, y0)
     b_t = np.stack((y2 - y1, y0 - y2, y1 - y0)) * sign
     xk_t = np.stack((x1, x2, x0))
+    # Coverage takes each edge from its endpoint with the smaller x (the
+    # reference's _coverage_edge): the same t and b, with the base point
+    # (xk, ey) moved to the edge's far end where that one is smaller.
+    xe_t = np.stack((x2, x0, x1))
+    swap = xe_t < xk_t
+    cxk_t = np.where(swap, xe_t, xk_t)
+    cey_t = np.where(swap, np.stack((y2, y0, y1)), np.stack(ey))
 
     # Rows: every row of every live triangle's box, in triangle order.
     n_rows = int(heights.sum())
@@ -260,22 +268,23 @@ def rasterize_triangles(
     py_r = ys_r + 0.5
     sgn_r = sign[tri_r]
     t = np.stack([ea[k][tri_r] * (py_r - ey[k][tri_r]) * sgn_r for k in range(3)])
+    ct = np.stack([ea[k][tri_r] * (py_r - cey_t[k, tri_r]) * sgn_r for k in range(3)])
     b = b_t[:, tri_r]
-    xk = xk_t[:, tri_r]
+    cxk = cxk_t[:, tri_r]
     lo = min_x[tri_r].astype(np.float64)
     hi = lo + widths[tri_r]
 
     # Each row's span [row_l, row_h): the intersection of its edges' prefixes
-    # (b > 0) and suffixes (b < 0), emptied by any b == 0 edge with t < 0.
-    finite = np.isfinite(t).all(axis=0)
-    finite &= np.isfinite(np.vstack((b_t, xk_t))).all(axis=0)[tri_r]
+    # (b > 0) and suffixes (b < 0), emptied by any b == 0 edge with ct < 0.
+    finite = np.isfinite(ct).all(axis=0)
+    finite &= np.isfinite(np.vstack((b_t, cxk_t))).all(axis=0)[tri_r]
     bound = np.where(b > 0, hi, lo)
     with np.errstate(all="ignore"):
         sel = np.nonzero((b != 0) & finite)
-        bound[sel] = _edge_boundaries(t[sel], b[sel], xk[sel], lo[sel[1]], hi[sel[1]])
+        bound[sel] = _edge_boundaries(ct[sel], b[sel], cxk[sel], lo[sel[1]], hi[sel[1]])
     row_l = np.where(b < 0, bound, lo).max(axis=0)
     row_h = np.where(b > 0, bound, hi).min(axis=0)
-    row_ok = finite & ~((b == 0) & (t < 0)).any(axis=0)
+    row_ok = finite & ~((b == 0) & (ct < 0)).any(axis=0)
     span_row = np.flatnonzero(row_ok & (row_h > row_l))
     span_lo = row_l[span_row].astype(np.int64)
     span_n = (row_h - row_l)[span_row].astype(np.int64)
@@ -289,7 +298,7 @@ def rasterize_triangles(
         xc = np.arange(len(rr), dtype=np.int64)
         xc += np.repeat(min_x[tri_r[fallback]] - (np.cumsum(wf) - wf), wf)
         with np.errstate(all="ignore"):
-            e = t[:, rr] - b[:, rr] * ((xc + 0.5) - xk[:, rr])
+            e = ct[:, rr] - b[:, rr] * ((xc + 0.5) - cxk[:, rr])
         inside = np.minimum(np.minimum(e[0], e[1]), e[2]) >= 0
         # A stable sort by row keeps each row's pixels in x order.
         rows = np.concatenate((span_row, rr[inside]))

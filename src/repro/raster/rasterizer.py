@@ -14,7 +14,9 @@ Coverage uses the standard three-edge-function test with inclusive (>= 0)
 comparisons: pixels exactly on a shared edge may rasterize in both triangles.
 This inflates fragment counts by well under a percent on the study's
 workloads and keeps the vectorized inner loop simple; the cache metrics are
-insensitive to it (duplicated edge fragments collapse in the trace).
+insensitive to it (duplicated edge fragments collapse in the trace). Each
+edge is evaluated from its endpoint with the smaller x, so coverage does not
+depend on the winding or on which triangle owns the edge.
 """
 
 from __future__ import annotations
@@ -60,6 +62,23 @@ class Fragments:
 
     def __len__(self) -> int:
         return len(self.xs)
+
+
+def _coverage_edge(xa, ya, xb, yb, px, py, sign, e):
+    """Edge function of the edge a -> b for the coverage test.
+
+    ``e`` is the same edge function taken from ``a``, which the barycentrics
+    use. Coverage instead takes every edge from its endpoint with the
+    smaller x (for a vertical edge both endpoints give the same bits).
+    IEEE rounding is symmetric under negation, so the reversed edge b -> a
+    of the other winding, or of the neighbouring triangle, then gives the
+    same bits (up to the sign of a zero): a pixel centre within rounding of
+    an edge is kept or dropped consistently. When ``a`` is already that
+    endpoint this is ``e`` itself.
+    """
+    if xb < xa:
+        return ((xb - xa) * (py - yb) - (yb - ya) * (px - xb)) * sign
+    return e
 
 
 def rasterize_triangle(
@@ -124,7 +143,11 @@ def rasterize_triangle(
     e0 = ((x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)) * sign
     e1 = ((x0 - x2) * (py - y2) - (y0 - y2) * (px - x2)) * sign
     e2 = ((x1 - x0) * (py - y0) - (y1 - y0) * (px - x0)) * sign
-    inside = (e0 >= 0) & (e1 >= 0) & (e2 >= 0)
+    inside = (
+        (_coverage_edge(x1, y1, x2, y2, px, py, sign, e0) >= 0)
+        & (_coverage_edge(x2, y2, x0, y0, px, py, sign, e1) >= 0)
+        & (_coverage_edge(x0, y0, x1, y1, px, py, sign, e2) >= 0)
+    )
     if not np.any(inside):
         return None
 

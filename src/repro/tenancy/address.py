@@ -15,7 +15,9 @@ needs no new bits and no translation changes:
   disjoint, contiguous gid range in the shared page table.
 
 Alias-freedom between tenants therefore holds by construction, and the
-tenant of any ref (or gid) is recoverable with one ``searchsorted``.
+tenant of any ref (or gid) is recoverable with one ``searchsorted`` — or,
+for a simulator that looks tenants up every frame, with one shift and one
+gather through a tid → tenant table built once (:func:`tenant_table`).
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ __all__ = [
     "tenant_tid_bases",
     "tag_refs",
     "tenant_of_refs",
+    "tenant_table",
+    "tenant_of_refs_table",
     "tenant_gid_extents",
     "tenant_of_gids",
 ]
@@ -79,6 +83,23 @@ def tenant_of_refs(refs: np.ndarray, tid_bases) -> np.ndarray:
     tids = (refs >> np.int64(_TID_SHIFT)) & np.int64(_TID_MASK)
     bases = np.asarray(tid_bases, dtype=np.int64)
     return np.searchsorted(bases, tids, side="right") - 1
+
+
+def tenant_table(tid_bases, texture_count: int) -> np.ndarray:
+    """Tenant index of every tid of a merged space of ``texture_count``."""
+    bases = np.asarray(tid_bases, dtype=np.int64)
+    return np.repeat(
+        np.arange(len(bases), dtype=np.int64),
+        np.diff(bases, append=np.int64(texture_count)),
+    )
+
+
+def tenant_of_refs_table(refs: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """:func:`tenant_of_refs` through a :func:`tenant_table`.
+
+    The tid field is on top of a packed ref, so one shift extracts it.
+    """
+    return table[np.asarray(refs, dtype=np.int64) >> np.int64(_TID_SHIFT)]
 
 
 def tenant_gid_extents(

@@ -27,6 +27,7 @@ exactly how the vectorized implementation below works.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -156,10 +157,21 @@ def morton2(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     )
 
 
-#: Pre-spread low bytes: ``_SPREAD8[v] == _part1by1(v)`` for v < 256. Lets
-#: the set-index fast path replace the five-step interleave with one small
-#: table gather when only a few Morton bits survive the set mask.
-_SPREAD8 = _part1by1(np.arange(256, dtype=np.int64))
+@functools.lru_cache(maxsize=None)
+def _morton_low_table(k: int) -> np.ndarray:
+    """Morton codes of every ``(tile_y, tile_x)`` low-bit pair of a k-bit index.
+
+    Entry ``(ty << xbits) | tx`` (``xbits = (k + 1) // 2`` low x bits,
+    ``k // 2`` low y bits) is ``morton2(tx, ty)``: the only Morton bits
+    that survive masking to ``2**k`` sets. Lets the set-index fast path
+    replace the five-step interleave with one table gather.
+    """
+    xbits = (k + 1) // 2
+    tx = np.arange(1 << xbits, dtype=np.int64)
+    ty = np.arange(1 << (k // 2), dtype=np.int64)
+    table = morton2(tx[None, :], ty[:, None]).ravel()
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -282,6 +294,12 @@ class AddressSpace:
                 self.l1_tile_base[key] = running
                 running += tw * th
         self.total_l1_tiles = running
+        # The same bases indexed by ``ref >> _MIP_SHIFT`` (``tid << 5 | mip``:
+        # the tid field is on top and the mip field 5 bits wide), so the set
+        # index reads a ref's base with one shift and one gather.
+        by_field = np.zeros((max(n, 1), 1 << _MIP_BITS), dtype=np.int64)
+        by_field[:, :MAX_MIP_LEVELS] = self.l1_tile_base.reshape(-1, MAX_MIP_LEVELS)
+        self._l1_base_by_field = by_field.ravel()
 
         # Lazily-built per-L2-size translation tables.
         self._l2_tables: dict[int, dict[str, np.ndarray]] = {}
@@ -411,20 +429,18 @@ class AddressSpace:
         if n_sets > (1 << 16):
             return (self.l1_tile_codes(packed) & np.int64(n_sets - 1)).astype(np.int64)
         # Fast path: only the low log2(n_sets) Morton bits survive the mask,
-        # and addition commutes with low-bit masking, so spread just those
-        # coordinate bits through a 256-entry table instead of unpacking and
-        # interleaving the full 22-bit coordinates.
+        # and addition commutes with low-bit masking, so gather the Morton
+        # code of just those coordinate bits from one table instead of
+        # unpacking and interleaving the full 22-bit coordinates.
         k = int(n_sets).bit_length() - 1
         xbits = (k + 1) // 2
-        ybits = k // 2
         p = np.asarray(packed, dtype=np.int64)
-        tx = p & np.int64((1 << xbits) - 1)
-        ty = (p >> np.int64(_TY_SHIFT)) & np.int64((1 << ybits) - 1)
-        code_low = _SPREAD8[tx] | (_SPREAD8[ty] << 1)
-        key = ((p >> np.int64(_TID_SHIFT)) & np.int64(_TID_MASK)) * MAX_MIP_LEVELS + (
-            (p >> np.int64(_MIP_SHIFT)) & np.int64(_MIP_MASK)
+        low_xy = (p & np.int64((1 << xbits) - 1)) | (
+            (p >> np.int64(_TY_SHIFT - xbits))
+            & np.int64(((1 << (k // 2)) - 1) << xbits)
         )
-        return (code_low + self.l1_tile_base[key]) & np.int64(n_sets - 1)
+        base = self._l1_base_by_field[p >> np.int64(_MIP_SHIFT)]
+        return (_morton_low_table(k)[low_xy] + base) & np.int64(n_sets - 1)
 
     def wrap_texels(
         self, tid_or_key: np.ndarray, mip: np.ndarray, x: np.ndarray, y: np.ndarray

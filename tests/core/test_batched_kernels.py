@@ -4,8 +4,7 @@ The batched engines must be *bit-identical* to the per-access reference
 loops — per-frame full/partial/miss/eviction counts, hit counts, carried
 replacement-policy state, and end-of-run residency state — across random
 streams, every replacement policy, and chunk boundaries (including the
-truncate-and-reprocess path taken when an evicted entry recurs within a
-chunk).
+re-queue path taken when an evicted entry recurs within a chunk).
 """
 
 import numpy as np
@@ -200,3 +199,104 @@ def test_sector_bits_overflow_rejected():
 def test_32x32_tiles_still_accepted():
     cfg = L2CacheConfig(size_bytes=8 << 20, l2_tile_texels=32)
     assert cfg.sub_blocks_per_block == 64
+
+
+def looping_stream(rng, n_blocks, n_entries, length):
+    """Sweeps over a loop a few gids wider than the cache, with noise.
+
+    Every sweep evicts gids that the next sweep touches again, so evicted
+    entries recur inside one call — a re-allocation storm. Runs of
+    repeats and a small sub range mix full hits into the partial hits.
+    """
+    width = min(n_entries, n_blocks + int(rng.integers(1, 4)))
+    loop = rng.choice(n_entries, width, replace=False)
+    gids = loop[np.arange(length) % width]
+    noise = rng.random(length) < 0.15
+    gids = np.where(noise, rng.integers(0, n_entries, length), gids)
+    gids = np.repeat(gids, rng.integers(1, 3, length))[:length]
+    subs = rng.integers(0, int(rng.integers(1, 5)), len(gids))
+    return gids.astype(np.int64), subs.astype(np.int64)
+
+
+def random_splits(rng, n, max_calls=5):
+    """Sorted cut points splitting ``n`` accesses into up to ``max_calls``."""
+    cuts = np.sort(rng.integers(0, n + 1, int(rng.integers(0, max_calls))))
+    return [0, *cuts.tolist(), n]
+
+
+class TestReallocationStorms:
+    @given(
+        seed=st.integers(0, 10_000),
+        policy=st.sampled_from(["clock", "lru", "fifo", "random"]),
+        n_blocks=st.integers(1, 8),
+        chunk_size=st.sampled_from([5, 33, 1 << 15]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_looping_streams_bit_identical(self, seed, policy, n_blocks, chunk_size):
+        rng = np.random.default_rng(seed)
+        n_entries = 24
+        ref, bat = make_pair(policy, n_blocks, n_entries, chunk_size)
+        gids, subs = looping_stream(rng, n_blocks, n_entries, 400)
+        splits = random_splits(rng, len(gids))
+        for a, b in zip(splits[:-1], splits[1:]):
+            assert ref.access_blocks(gids[a:b], subs[a:b]) == bat.access_blocks(
+                gids[a:b], subs[a:b]
+            )
+        assert_l2_state_equal(ref, bat)
+
+    @given(
+        seed=st.integers(0, 10_000),
+        policy=st.sampled_from(["clock", "lru", "fifo", "random"]),
+        n_blocks=st.integers(1, 8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_snapshot_restore_cut_mid_stream(self, seed, policy, n_blocks):
+        rng = np.random.default_rng(seed)
+        n_entries = 24
+        ref, bat = make_pair(policy, n_blocks, n_entries, 1 << 15)
+        gids, subs = looping_stream(rng, n_blocks, n_entries, 300)
+        cut = int(rng.integers(0, len(gids) + 1))
+        assert ref.access_blocks(gids[:cut], subs[:cut]) == bat.access_blocks(
+            gids[:cut], subs[:cut]
+        )
+        # Resume the batched kernel from the reference loop's state.
+        _, resumed = make_pair(policy, n_blocks, n_entries, 1 << 15)
+        resumed.restore_state(ref.snapshot_state())
+        assert ref.access_blocks(gids[cut:], subs[cut:]) == resumed.access_blocks(
+            gids[cut:], subs[cut:]
+        )
+        assert_l2_state_equal(ref, resumed)
+
+    def test_storm_requeues_evicted_gids(self):
+        # One block, two alternating gids: every access after the first
+        # evicts the gid the next access needs, all inside one call.
+        ref, bat = make_pair("clock", 1, 4, chunk_size=1 << 15)
+        gids = np.array([0, 1] * 20 + [1, 1, 0, 0], dtype=np.int64)
+        subs = np.arange(len(gids), dtype=np.int64) % 3
+        want = ref.access_blocks(gids, subs)
+        assert want.full_misses == want.evictions + 1 == 41
+        assert bat.access_blocks(gids, subs) == want
+        assert_l2_state_equal(ref, bat)
+
+
+class TestTLBRunCollapse:
+    @given(
+        seed=st.integers(0, 10_000),
+        cap=st.integers(1, 16),
+        policy=st.sampled_from(["round_robin", "lru"]),
+        universe=st.integers(2, 24),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_run_heavy_streams_bit_identical(self, seed, cap, policy, universe):
+        rng = np.random.default_rng(seed)
+        ref = TextureTableTLB(cap, policy, use_reference=True)
+        bat = TextureTableTLB(cap, policy)
+        # A warm-up call leaves entries and the round-robin hand carried.
+        warm = rng.integers(0, universe, int(rng.integers(0, 40)))
+        assert ref.access_frame(warm) == bat.access_frame(warm)
+        for _ in range(int(rng.integers(1, 5))):
+            heads = rng.integers(0, universe, int(rng.integers(0, 60)))
+            gids = np.repeat(heads, rng.integers(1, 9, len(heads)))
+            assert ref.access_frame(gids) == bat.access_frame(gids)
+            assert ref._entries == bat._entries
+            assert ref._hand == bat._hand

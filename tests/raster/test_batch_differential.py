@@ -19,6 +19,7 @@ from repro.scenes import WORKLOAD_BUILDERS
 from repro.texture.sampler import FilterMode
 
 from tests.raster.test_pipeline import camera, simple_scene
+from tests.raster.test_rasterizer_properties import near_grid
 
 W, H = 48, 40
 TEXW, TEXH = 64, 32
@@ -332,3 +333,40 @@ class TestExtremeGeometryDifferential:
             )
         assert ref is not None and len(got) > 0
         assert_batches_identical(got, ref)
+
+
+class TestNearEdgeCoverageDifferential:
+    """Pixel centres on or within rounding of an edge, where the coverage
+    test's choice of base endpoint decides the bits: both windings of every
+    triangle must match the reference."""
+
+    @staticmethod
+    def check_both_windings(fwd, order):
+        screen = np.concatenate((fwd, fwd[:, ::-1]))
+        n = len(screen)
+        rng = np.random.default_rng(n)
+        inv_w = rng.uniform(0.5, 2.0, (n, 3))
+        uv = rng.uniform(0.0, 1.0, (n, 3, 2))
+        z = rng.uniform(-1.0, 1.0, (n, 3))
+        got = rasterize_triangles(
+            screen_xy=screen, inv_w=inv_w, uv=uv, z_ndc=z,
+            width=W, height=H, tex_width=TEXW, tex_height=TEXH,
+            double_sided=True, order=order,
+        )
+        assert_batches_identical(
+            got, reference_batch(screen, inv_w, uv, z, True, order)
+        )
+
+    @given(st.lists(st.tuples(*[near_grid] * 6), min_size=1, max_size=6),
+           st.sampled_from([RasterOrder.SCANLINE, RasterOrder.TILED]))
+    @settings(max_examples=150, deadline=None)
+    def test_property_bit_identical_both_windings(self, tris, order):
+        self.check_both_windings(
+            np.array(tris, dtype=np.float64).reshape(-1, 3, 2), order
+        )
+
+    @pytest.mark.parametrize("order", [RasterOrder.SCANLINE, RasterOrder.TILED])
+    def test_centre_within_rounding_of_edge(self, order):
+        # Pixel centre (1.5, 1.5) is within rounding of the second edge.
+        fwd = np.array([[[1.0, 0.0], [2.0, 2.0], [2.220446049250313e-16, 0.0]]])
+        self.check_both_windings(fwd, order)

@@ -128,3 +128,48 @@ class TestGeometricInvariants:
             return
         assert np.allclose(a.u, b.u, atol=1e-9)
         assert np.allclose(a.v, b.v, atol=1e-9)
+
+
+def nudge(x, ulps):
+    """``x`` moved by ``ulps`` units in the last place."""
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, np.inf if ulps > 0 else -np.inf))
+    return x
+
+
+# Coordinates on a quarter-pixel grid, some nudged by a few ULPs, so pixel
+# centres often fall exactly on an edge or within rounding of one.
+near_grid = st.builds(
+    lambda k, ulps: nudge(k / 4.0, ulps),
+    st.integers(-8, 140),
+    st.sampled_from([0, 0, 0, 1, -1, 2, -2]),
+) | st.sampled_from([2.220446049250313e-16, -2.220446049250313e-16, 1e-15])
+
+
+def pixel_set(frags):
+    if frags is None:
+        return set()
+    return set(zip(frags.xs.tolist(), frags.ys.tolist()))
+
+
+class TestCoverageNearEdges:
+    def test_winding_reversal_with_centre_within_rounding_of_edge(self):
+        # Pixel centre (1.5, 1.5) lies within rounding of the edge
+        # (2**-52, 0)-(2, 2): evaluated from its two endpoints, that edge's
+        # function rounds to opposite coverage decisions.
+        p = np.array([[1.0, 0.0], [2.0, 2.0], [2.220446049250313e-16, 0.0]])
+        fwd = raster(p, double_sided=True)
+        assert pixel_set(fwd) == pixel_set(raster(p[::-1], double_sided=True))
+
+    @given(st.tuples(*[near_grid] * 6))
+    @settings(max_examples=300, deadline=None)
+    def test_property_vertex_order_invariant(self, verts):
+        """Every one of the six vertex orders covers the same pixels."""
+        p = np.array(verts).reshape(3, 2)
+        area2 = (p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1]) - (
+            p[2, 0] - p[0, 0]
+        ) * (p[1, 1] - p[0, 1])
+        assume(abs(area2) > 1e-6)
+        want = pixel_set(raster(p, double_sided=True))
+        for perm in ([0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]):
+            assert pixel_set(raster(p[perm], double_sided=True)) == want, perm

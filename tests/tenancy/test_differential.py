@@ -15,9 +15,12 @@ from repro.core.l1_cache import L1CacheConfig
 from repro.core.l2_cache import L2CacheConfig
 from repro.tenancy import (
     POLICIES,
+    PartitionedL2,
+    PartitionedTLB,
     TenancyConfig,
     merge_traces,
     static_quotas,
+    tenant_of_refs,
     utility_quotas,
     way_quotas,
 )
@@ -175,3 +178,150 @@ class TestSingleTenantEquivalence:
             assert s.l2 == p.l2
             assert s.tlb == p.tlb
             assert np.array_equal(s.tenants.texel_reads, [p.texel_reads])
+
+
+TINY_L2 = L2CacheConfig(size_bytes=8 * 1024, l2_tile_texels=16)  # 8 blocks
+
+
+def _canonical(tree):
+    """A snapshot tree with engine-independent orderings made canonical."""
+    if isinstance(tree, dict):
+        out = {k: _canonical(v) for k, v in tree.items() if k != "engine"}
+        if "sector_gids" in tree:
+            # A set-associative part's sector dict: order is incidental.
+            out["sector_gids"] = sorted(
+                zip(out.pop("sector_gids"), out.pop("sector_bits"))
+            )
+        return out
+    if isinstance(tree, np.ndarray):
+        return tree.tolist()
+    if isinstance(tree, (list, tuple)):
+        return [_canonical(v) for v in tree]
+    return tree
+
+
+def _four_tenant_bursty(village_trace, city_trace):
+    traces = [village_trace, city_trace, village_trace, city_trace]
+    merged, bases = merge_traces(traces, schedule="bursty", seed=3)
+    return traces, merged, bases
+
+
+def _interleaved_walk(config, merged):
+    """Per-frame ``(l2, tlb)`` per-tenant count matrices of a stream-order walk.
+
+    An oracle independent of the hierarchy's segment logic: the L1 miss
+    stream goes through the reference L2/TLB one access per call, in
+    stream order, whatever the partitioning.
+    """
+    space = merged.address_space
+    sim = MultiLevelTextureCache(config, space, use_reference=True)
+    tenancy = config.tenancy
+    l2_parted = isinstance(sim.l2, PartitionedL2)
+    tlb_parted = isinstance(sim.tlb, PartitionedTLB)
+    out = []
+    for frame in merged.frames:
+        sets = space.l1_set_indices(frame.refs, config.l1.n_sets)
+        miss = sim.l1.access_frame(frame.refs, frame.weights, sets).miss_refs
+        gids, subs = space.l2_addresses(miss, config.l2.l2_tile_texels)
+        owners = tenant_of_refs(miss, tenancy.tid_bases)
+        l2 = np.zeros((tenancy.n_tenants, 5), dtype=np.int64)
+        tlb = np.zeros((tenancy.n_tenants, 2), dtype=np.int64)
+        for gid, sub, t in zip(gids, subs, owners.tolist()):
+            g, s = np.array([gid]), np.array([sub])
+            res = sim.tlb.access_frame(t, g) if tlb_parted else sim.tlb.access_frame(g)
+            tlb[t] += [res.accesses, res.hits]
+            res = sim.l2.access_blocks(t, g, s) if l2_parted else sim.l2.access_blocks(g, s)
+            l2[t] += [
+                res.accesses,
+                res.full_hits,
+                res.partial_hits,
+                res.full_misses,
+                res.evictions,
+            ]
+        out.append((l2, tlb))
+    return out
+
+
+def _assert_engines_identical(config, merged):
+    batched = MultiLevelTextureCache(config, merged.address_space)
+    reference = MultiLevelTextureCache(
+        config, merged.address_space, use_reference=True
+    )
+    walk = _interleaved_walk(config, merged)
+    for frame, (l2, tlb) in zip(merged.frames, walk):
+        b = batched.run_frame(frame)
+        r = reference.run_frame(frame)
+        # FrameCacheStats equality covers the frame totals and the
+        # per-tenant vectors.
+        assert b == r
+        t = b.tenants
+        np.testing.assert_array_equal(
+            np.stack(
+                [
+                    t.l2_accesses,
+                    t.l2_full_hits,
+                    t.l2_partial_hits,
+                    t.l2_full_misses,
+                    t.l2_evictions,
+                ],
+                axis=1,
+            ),
+            l2,
+        )
+        np.testing.assert_array_equal(
+            np.stack([t.tlb_accesses, t.tlb_hits], axis=1), tlb
+        )
+        assert _canonical(batched.snapshot_state()) == _canonical(
+            reference.snapshot_state()
+        )
+
+
+class TestPerTenantCalls:
+    @pytest.mark.parametrize("tlb_quotas", [None, (2, 1, 2, 1)])
+    @pytest.mark.parametrize("policy", ["static", "utility", "way"])
+    def test_tiny_quotas_bursty_four_tenants(
+        self, village_trace, city_trace, policy, tlb_quotas
+    ):
+        traces, merged, bases = _four_tenant_bursty(village_trace, city_trace)
+        if policy == "static":
+            quotas = static_quotas(TINY_L2, 4)
+        elif policy == "utility":
+            quotas = utility_quotas(traces, 2048, TINY_L2)
+        else:
+            quotas = way_quotas(8, 4)
+        tenancy = TenancyConfig(
+            tid_bases=bases,
+            policy=policy,
+            quotas=quotas,
+            tlb_quotas=tlb_quotas,
+            ways=8,
+        )
+        config = HierarchyConfig(
+            l1=L1CacheConfig(size_bytes=2048),
+            l2=TINY_L2,
+            tlb_entries=8,
+            tenancy=tenancy,
+        )
+        _assert_engines_identical(config, merged)
+
+    @pytest.mark.parametrize(
+        "policy, quotas, tlb_quotas",
+        [
+            ("none", None, (2, 1, 2, 1)),  # shared L2, partitioned TLB
+            ("static", (2, 2, 2, 2), None),  # partitioned L2, shared TLB
+        ],
+    )
+    def test_shared_level_keeps_the_interleaving(
+        self, village_trace, city_trace, policy, quotas, tlb_quotas
+    ):
+        _, merged, bases = _four_tenant_bursty(village_trace, city_trace)
+        tenancy = TenancyConfig(
+            tid_bases=bases, policy=policy, quotas=quotas, tlb_quotas=tlb_quotas
+        )
+        config = HierarchyConfig(
+            l1=L1CacheConfig(size_bytes=2048),
+            l2=TINY_L2,
+            tlb_entries=8,
+            tenancy=tenancy,
+        )
+        _assert_engines_identical(config, merged)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.texture.texture import Texture
 from repro.texture.tiling import (
+    _TID_MASK,
     AddressSpace,
     L1_TILE_TEXELS,
     MAX_MIP_LEVELS,
@@ -253,3 +254,32 @@ class TestAddressSpace:
         space = AddressSpace([])
         assert space.texture_count == 0
         assert space.total_l1_tiles == 0
+
+
+class TestL1SetIndexFastPath:
+    def test_matches_masked_tile_codes_at_field_extremes(self):
+        # The fast path reads the per-(tid, mip) base through the packed
+        # ref's top fields and the Morton code through a low-bit table;
+        # both must agree with the full code at the largest tid and mip
+        # an address space holds and at every power-of-two set count.
+        textures = [Texture(f"t{i}", 4, 4) for i in range(_TID_MASK - 1)]
+        textures.append(Texture("deep", 1 << 15, 1 << 15))  # 16 MIP levels
+        space = AddressSpace(textures)
+        max_tid = space.texture_count - 1
+        rng = np.random.default_rng(0)
+        n = 4096
+        top = (1 << 22) - 1
+        tid = np.concatenate([[0, max_tid, max_tid, 0], rng.integers(0, max_tid + 1, n)])
+        mip = np.concatenate(
+            [[0, MAX_MIP_LEVELS - 1, 0, MAX_MIP_LEVELS - 1],
+             rng.integers(0, MAX_MIP_LEVELS, n)]
+        )
+        ty = np.concatenate([[0, top, top, 1], rng.integers(0, top + 1, n)])
+        tx = np.concatenate([[0, top, 1, top], rng.integers(0, top + 1, n)])
+        refs = pack_tile_refs(tid, mip, ty, tx)
+        codes = space.l1_tile_codes(refs)
+        for k in range(17):
+            n_sets = 1 << k
+            np.testing.assert_array_equal(
+                space.l1_set_indices(refs, n_sets), codes & (n_sets - 1)
+            )
