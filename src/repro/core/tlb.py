@@ -10,10 +10,12 @@ Like the cache simulators, the TLB has a per-access reference loop
 (``use_reference=True``) and a batched engine that resolves a whole frame
 in numpy passes. The batched engine first collapses runs of a repeated
 gid: a consecutive repeat always hits and changes no state under either
-policy, so only run heads reach the policy engines. LRU is the L1's
-recency-stack kernel (:func:`repro.core.l1_cache.lru_stack_levels`) run as
-a single set; TLBs wider than :data:`~repro.core.l1_cache.MAX_KERNEL_WAYS`
-entries run the loop, as the L1 does. Round robin runs the per-access loop
+policy, so only run heads reach the policy engines. The collapse is the
+one-set case of the L1's MRU re-hit filter and runs through it
+(:func:`repro.core.l1_cache.mru_rehits`). LRU is the L1's recency-stack
+kernel (:func:`repro.core.l1_cache.lru_stack_levels`) run as a single set;
+TLBs wider than :data:`~repro.core.l1_cache.MAX_KERNEL_WAYS` entries run
+the loop, as the L1 does. Round robin runs the per-access loop
 over the run heads: their hit streaks are short, so a block scan against
 the entry table is slower than probing a handful of entries per access.
 Both are bit-identical to the loops, including the carried entry list and
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.l1_cache import EMPTY, MAX_KERNEL_WAYS, lru_stack_levels
+from repro.core.l1_cache import EMPTY, MAX_KERNEL_WAYS, lru_stack_levels, mru_rehits
 
 __all__ = ["TLBFrameResult", "TextureTableTLB"]
 
@@ -110,10 +112,7 @@ class TextureTableTLB:
         # A consecutive repeat always hits and changes no state: round
         # robin mutates only on a miss, and under LRU the repeated entry
         # is already the most recent. Only run heads reach the engines.
-        head = np.empty(n, dtype=bool)
-        head[0] = True
-        np.not_equal(gids[1:], gids[:-1], out=head[1:])
-        runs = gids[head]
+        runs = gids[~mru_rehits(gids)]
         repeats = n - len(runs)
         if self.policy == "round_robin":
             # Run heads rarely hit many times in a row, so a block scan

@@ -300,3 +300,60 @@ class TestTLBRunCollapse:
             assert ref.access_frame(gids) == bat.access_frame(gids)
             assert ref._entries == bat._entries
             assert ref._hand == bat._hand
+
+
+def alternating_stream(rng, length):
+    """Two gids taking turns in runs of 1..5: every run head is a re-touch
+    of the entry two runs back, never of the previous access."""
+    a, b = rng.choice(50, 2, replace=False)
+    n_runs = max(length // 3, 1)
+    heads = np.where(np.arange(n_runs) % 2 == 0, a, b)
+    return np.repeat(heads, rng.integers(1, 6, n_runs))[:length].astype(np.int64)
+
+
+class TestTLBSharedRehitFilter:
+    """The TLB drops only *consecutive* repeats through the L1's
+    ``mru_rehits`` (its one-set case); a gid re-touched after another gid
+    in between is a real access to the policy engine."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        cap=st.integers(1, 4),
+        policy=st.sampled_from(["round_robin", "lru"]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_alternating_two_gid_streams(self, seed, cap, policy):
+        rng = np.random.default_rng(seed)
+        ref = TextureTableTLB(cap, policy, use_reference=True)
+        bat = TextureTableTLB(cap, policy)
+        gids = alternating_stream(rng, int(rng.integers(1, 200)))
+        # With one entry only a repeat of the previous access (across
+        # frame boundaries too) can hit.
+        repeat = gids == np.r_[-1, gids[:-1]]
+        splits = random_splits(rng, len(gids))
+        for a, b in zip(splits[:-1], splits[1:]):
+            want = ref.access_frame(gids[a:b])
+            assert bat.access_frame(gids[a:b]) == want
+            assert ref._entries == bat._entries
+            assert ref._hand == bat._hand
+            if cap == 1:
+                assert want.hits == int(np.count_nonzero(repeat[a:b]))
+
+    @given(
+        seed=st.integers(0, 10_000),
+        cap=st.integers(1, 16),
+        policy=st.sampled_from(["round_robin", "lru"]),
+        universe=st.integers(2, 24),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_long_runs_split_mid_run(self, seed, cap, policy, universe):
+        rng = np.random.default_rng(seed)
+        ref = TextureTableTLB(cap, policy, use_reference=True)
+        bat = TextureTableTLB(cap, policy)
+        heads = rng.integers(0, universe, int(rng.integers(1, 30)))
+        gids = np.repeat(heads, rng.integers(1, 60, len(heads)))
+        splits = random_splits(rng, len(gids), max_calls=8)
+        for a, b in zip(splits[:-1], splits[1:]):
+            assert ref.access_frame(gids[a:b]) == bat.access_frame(gids[a:b])
+            assert ref._entries == bat._entries
+            assert ref._hand == bat._hand
